@@ -822,7 +822,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except KeyboardInterrupt:
         # Graceful Ctrl-C: the runner already killed and reaped its pool and
         # unlinked every shared-memory segment (drain's interrupt handler);
-        # the job cache holds every completed job, written atomically.  One
+        # the job cache holds every completed job, each one whole record.  One
         # summary line, no traceback, and the conventional 128+SIGINT code.
         runner = context.runner if context is not None else None
         if runner is not None:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.cache.cache_set import CacheSet, make_selector, selector_seed, wrap_sets
+from repro.cache.cache_set import make_selector, selector_seed
 from repro.cache.replacement import ReplacementPolicy
 from repro.common.config import CacheGeometry
 from repro.mem.address import AddressMapper
@@ -168,35 +168,13 @@ class Cache:
         self._mapper = AddressMapper(geometry.block_bytes, geometry.num_sets)
         # Kernel locals: the tag/index split as plain shift/mask ints, the
         # per-set packed dicts as a flat list (dict objects are stable for
-        # the cache's lifetime), and the replacement mode flags.  Only the
-        # dicts exist up front; the CacheSet wrapper objects — needed by
-        # nothing on the hot path — materialise lazily via the ``_sets``
-        # property.  A fused ladder builds K hierarchies (each with a
-        # four-digit-set L2) per job, so eager wrappers are a measurable
-        # construction tax for objects most runs never touch.
+        # the cache's lifetime), and the replacement mode flags.
         self._set_blocks = [{} for _ in range(geometry.num_sets)]
-        self._sets_built: Optional[List[CacheSet]] = None
         self.stats = CacheStats()
         self._offset_bits, self._index_bits, self._set_mask = self._mapper.shift_mask()
         self._ways = geometry.associativity
         self._refresh_on_hit = self._selector.refreshes_on_hit
         self._random_victims = self.replacement is ReplacementPolicy.RANDOM
-
-    @property
-    def _sets(self) -> List[CacheSet]:
-        """CacheSet wrappers over the live packed dicts, built on first use."""
-        sets = self._sets_built
-        if sets is None:
-            sets = self._sets_built = wrap_sets(
-                self._ways, self._selector, self._set_blocks
-            )
-        return sets
-
-    @_sets.setter
-    def _sets(self, value: List[CacheSet]) -> None:
-        # Subclasses (the resizable caches) construct their sets eagerly —
-        # they genuinely resize them — and assign through here.
-        self._sets_built = value
 
     def _kernel_state(self):
         """The access kernel's hoistable state, as one flat tuple.

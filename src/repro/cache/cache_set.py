@@ -12,9 +12,9 @@ The packed-int methods (``fill_packed``, ``drain_packed``, ...) are the real
 implementation and allocate nothing per access; the historical
 object-returning methods survive as thin wrappers that materialise
 :class:`CacheBlock` instances on demand for callers off the hot path (tests,
-introspection).  The cache kernels in :mod:`repro.cache.cache` and
-:mod:`repro.resizing.resizable_cache` bypass even these methods and operate
-directly on the live dict returned by :meth:`packed_storage`.
+introspection).  The caches in :mod:`repro.cache.cache` and
+:mod:`repro.resizing.resizable_cache` keep the same packed dicts, one per
+set, without wrapping them in :class:`CacheSet` objects.
 """
 
 from __future__ import annotations
@@ -67,17 +67,6 @@ class CacheSet:
         self._refresh_on_hit = selector.refreshes_on_hit
 
     # ------------------------------------------------------------- packed API
-    def packed_storage(self) -> Dict[int, int]:
-        """The live ``tag -> (block_address << 1 | dirty)`` dict.
-
-        The cache kernels hoist this dict into a local once and then do all
-        per-access work on it directly.  The dict object is stable for the
-        lifetime of the set (it is mutated in place, never replaced), which
-        is what makes that hoisting safe.  Mutating it bypasses the
-        capacity check, so only the owning cache should write through it.
-        """
-        return self._blocks
-
     def lookup_packed(self, tag: int) -> Optional[int]:
         """Packed block for ``tag`` or None; refreshes LRU order on hit."""
         packed = self._blocks.get(tag)
@@ -127,10 +116,6 @@ class CacheSet:
         self._blocks.clear()
         return drained
 
-    def residents_packed(self) -> Iterable[Tuple[int, int]]:
-        """Iterate over ``(tag, packed_block)`` pairs resident in the set."""
-        return self._blocks.items()
-
     # ----------------------------------------------- object-returning wrappers
     def lookup(self, tag: int) -> Optional[CacheBlock]:
         """Return the resident block for ``tag`` or None; refreshes LRU on hit.
@@ -179,68 +164,6 @@ class CacheSet:
 
     def __repr__(self) -> str:
         return f"CacheSet(capacity={self.capacity}, occupancy={len(self._blocks)})"
-
-
-def build_sets(
-    capacity: int, selector: VictimSelector, count: int
-) -> Tuple[List[CacheSet], List[Dict[int, int]]]:
-    """Construct ``count`` identical empty sets plus their packed dicts.
-
-    The bulk constructor the cache kernels use: validation and the
-    replacement-policy refresh flag are hoisted out of the per-set loop and
-    the sets are built with direct slot writes, so constructing a large
-    cache (the L2 alone has four-digit set counts, and a fused ladder
-    builds K hierarchies up front) does not pay ``count`` constructor
-    frames plus ``count`` property lookups.  Returns ``(sets, blocks)``
-    with ``blocks[i] is sets[i].packed_storage()``, saving the second pass
-    the kernels would otherwise make to collect the live dicts.
-    """
-    if capacity < 1:
-        raise ConfigurationError(f"set capacity must be at least 1, got {capacity}")
-    refresh = selector.refreshes_on_hit
-    new = CacheSet.__new__
-    sets: List[CacheSet] = []
-    blocks: List[Dict[int, int]] = []
-    sets_append = sets.append
-    blocks_append = blocks.append
-    for _ in range(count):
-        cache_set = new(CacheSet)
-        storage: Dict[int, int] = {}
-        cache_set.capacity = capacity
-        cache_set._blocks = storage
-        cache_set._selector = selector
-        cache_set._refresh_on_hit = refresh
-        sets_append(cache_set)
-        blocks_append(storage)
-    return sets, blocks
-
-
-def wrap_sets(
-    capacity: int, selector: VictimSelector, blocks: List[Dict[int, int]]
-) -> List[CacheSet]:
-    """Materialise :class:`CacheSet` wrappers around existing packed dicts.
-
-    The lazy half of :func:`build_sets`: a fixed cache allocates only the
-    packed dicts up front (a plain list comprehension, an order of
-    magnitude cheaper than ``count`` wrapper objects) and wraps them here
-    the first time something off the hot path asks for set *objects*.  The
-    wrappers share the live dicts, so state written through either view is
-    seen by both.
-    """
-    if capacity < 1:
-        raise ConfigurationError(f"set capacity must be at least 1, got {capacity}")
-    refresh = selector.refreshes_on_hit
-    new = CacheSet.__new__
-    sets: List[CacheSet] = []
-    sets_append = sets.append
-    for storage in blocks:
-        cache_set = new(CacheSet)
-        cache_set.capacity = capacity
-        cache_set._blocks = storage
-        cache_set._selector = selector
-        cache_set._refresh_on_hit = refresh
-        sets_append(cache_set)
-    return sets
 
 
 def make_selector(policy, seed: int = BASE_SELECTOR_SEED) -> VictimSelector:

@@ -1,10 +1,9 @@
-"""Atomic, checksummed file writes shared by every on-disk artifact.
+"""Atomic, checksummed writes of whole-file artifacts.
 
-Three producers used to hand-roll the same write-temp-rename dance — the
-job cache, the trace cache, and ad-hoc ``open(path, "w")`` writes for
-``--output`` rows and the benchmark baseline (the last two were not atomic
-at all, so a crash mid-write could leave a torn JSON file that later runs
-would choke on).  This module is the single implementation:
+The trace cache, the checkpoint and service handle manifests, ``--output``
+rows and the benchmark baseline are whole files replaced at once; this
+module is their single write path.  (The job cache appends checksummed
+records to shard logs instead; see :mod:`repro.sim.jobcache`.)
 
 * :func:`atomic_write_bytes` / :func:`atomic_write_text` /
   :func:`atomic_write_json` — write to ``<name>.tmp.<pid>.<tid>`` in the
@@ -12,9 +11,9 @@ would choke on).  This module is the single implementation:
   therefore observe either the old content or the new content, never a
   prefix of the new one, even across concurrent sweep processes sharing a
   cache directory.  A killed process leaves at most an orphaned ``.tmp.*``
-  file, which the caches' ``clear()`` sweeps away.
+  file.
 * :func:`wrap_checksummed` / :func:`unwrap_checksummed` — a tiny binary
-  container (magic + SHA-256 + payload) for cache entries.  Rename
+  container (magic + SHA-256 + payload) for trace-cache entries.  Rename
   atomicity protects against *torn* writes; the checksum additionally
   catches entries corrupted after the fact (bit rot, a crashed writer on a
   filesystem without rename atomicity, a fault-injection plan).  Readers

@@ -39,7 +39,7 @@ from repro.cache.cache import (
     CacheStats,
     unpack_access_result,
 )
-from repro.cache.cache_set import CacheSet, build_sets, make_selector, selector_seed
+from repro.cache.cache_set import make_selector, selector_seed
 from repro.cache.replacement import ReplacementPolicy
 from repro.cache.subarray import SubarrayMap, SubarrayState
 from repro.common.config import CacheGeometry
@@ -105,10 +105,7 @@ class ResizableCache:
         self.name = name
         self.replacement = ReplacementPolicy.parse(replacement)
         self._selector = make_selector(self.replacement, seed=selector_seed(name))
-        self._sets: List[CacheSet]
-        self._sets, self._set_blocks = build_sets(
-            geometry.associativity, self._selector, geometry.num_sets
-        )
+        self._set_blocks = [{} for _ in range(geometry.num_sets)]
         self._subarray_map = SubarrayMap(geometry)
         self.way_mask = WayMask(geometry.associativity)
         self.set_mask = SetMask(
@@ -212,12 +209,15 @@ class ResizableCache:
         """Invalidate every enabled block; returns dirty block addresses."""
         dirty: List[int] = []
         stats = self.stats
-        for cache_set in self._sets:
-            for packed in cache_set.drain_packed():
+        for blocks in self._set_blocks:
+            if not blocks:
+                continue
+            for packed in blocks.values():
                 stats.invalidations += 1
                 if packed & 1:
                     stats.writebacks += 1
                     dirty.append(packed >> 1)
+            blocks.clear()
         return dirty
 
     # ------------------------------------------------------------------ resize
@@ -238,38 +238,47 @@ class ResizableCache:
         old_sets = previous.sets
         new_sets = target.sets
 
+        set_blocks = self._set_blocks
         if new_sets < old_sets:
             # Disabling sets: every block in a disabled set leaves the cache.
             for index in range(new_sets, old_sets):
-                for packed in self._sets[index].drain_packed():
+                blocks = set_blocks[index]
+                if not blocks:
+                    continue
+                for packed in blocks.values():
                     if packed & 1:
                         writebacks.append(packed >> 1)
                     else:
                         discarded += 1
+                blocks.clear()
         elif new_sets > old_sets:
             # Enabling sets: blocks whose index changes under the wider index
             # field would become unreachable, so they are flushed.
             new_mapper = AddressMapper(self.geometry.block_bytes, new_sets)
             for index in range(old_sets):
-                cache_set = self._sets[index]
+                blocks = set_blocks[index]
+                if not blocks:
+                    continue
                 stale_tags = [
                     tag
-                    for tag, packed in cache_set.residents_packed()
+                    for tag, packed in blocks.items()
                     if new_mapper.set_index(packed >> 1) != index
                 ]
                 for tag in stale_tags:
-                    packed = cache_set.invalidate_packed(tag)
-                    if packed is None:
-                        continue
+                    packed = blocks.pop(tag)
                     if packed & 1:
                         writebacks.append(packed >> 1)
                     else:
                         discarded += 1
 
-        # Adjust associativity on every physical set (disabled sets are empty).
-        if target.ways != previous.ways:
-            for cache_set in self._sets:
-                for packed in cache_set.set_capacity_packed(target.ways):
+        # Adjust associativity on every physical set (disabled sets are
+        # empty); shrinking evicts the replacement policy's victims.
+        if target.ways < previous.ways:
+            choose_victim = self._selector.choose_victim
+            ways = target.ways
+            for blocks in set_blocks:
+                while len(blocks) > ways:
+                    packed = blocks.pop(choose_victim(blocks))
                     if packed & 1:
                         writebacks.append(packed >> 1)
                     else:
