@@ -168,13 +168,27 @@ class Cache:
         self._mapper = AddressMapper(geometry.block_bytes, geometry.num_sets)
         # Kernel locals: the tag/index split as plain shift/mask ints, the
         # per-set packed dicts as a flat list (dict objects are stable for
-        # the cache's lifetime), and the replacement mode flags.
-        self._set_blocks = [{} for _ in range(geometry.num_sets)]
+        # the cache's lifetime; built on first use by :meth:`_sets`), and
+        # the replacement mode flags.
+        self._set_blocks: Optional[List[dict]] = None
         self.stats = CacheStats()
         self._offset_bits, self._index_bits, self._set_mask = self._mapper.shift_mask()
         self._ways = geometry.associativity
         self._refresh_on_hit = self._selector.refreshes_on_hit
         self._random_victims = self.replacement is ReplacementPolicy.RANDOM
+
+    def _sets(self) -> List[dict]:
+        """The per-set packed dicts, built on first use.
+
+        Caches that are never driven (a fused ladder's idle invariant-side
+        copies and L2-resident rungs' L2s) never allocate them.  The
+        attribute is always set in ``__init__`` (None until built), which
+        keeps every attribute load in :meth:`access_packed` specialisable.
+        """
+        set_blocks = self._set_blocks
+        if set_blocks is None:
+            self._set_blocks = set_blocks = [{} for _ in range(self.geometry.num_sets)]
+        return set_blocks
 
     def _kernel_state(self):
         """The access kernel's hoistable state, as one flat tuple.
@@ -192,7 +206,7 @@ class Cache:
         which is why callers must re-fetch it every interval.
         """
         return (
-            self.stats, self._set_blocks, self._offset_bits, self._index_bits,
+            self.stats, self._sets(), self._offset_bits, self._index_bits,
             self._set_mask, self._ways, self._refresh_on_hit,
             self._random_victims, self._selector,
         )
@@ -213,9 +227,12 @@ class Cache:
         else:
             stats.reads += 1
 
+        set_blocks = self._set_blocks
+        if set_blocks is None:
+            set_blocks = self._sets()
         block = address >> self._offset_bits
         tag = block >> self._index_bits
-        blocks = self._set_blocks[block & self._set_mask]
+        blocks = set_blocks[block & self._set_mask]
         packed = blocks.get(tag)
         if packed is not None:
             stats.hits += 1
@@ -267,12 +284,12 @@ class Cache:
     def probe(self, address: int) -> bool:
         """Return True when ``address`` is resident, without updating any state."""
         tag, index = self._mapper.split(address)
-        return tag in self._set_blocks[index]
+        return tag in self._sets()[index]
 
     def invalidate(self, address: int) -> Optional[int]:
         """Invalidate a block; returns its address if it was dirty (needs writeback)."""
         tag, index = self._mapper.split(address)
-        victim = self._set_blocks[index].pop(tag, None)
+        victim = self._sets()[index].pop(tag, None)
         if victim is None:
             return None
         self.stats.invalidations += 1
@@ -285,7 +302,7 @@ class Cache:
         """Invalidate the whole cache; returns addresses of dirty blocks written back."""
         dirty_addresses: List[int] = []
         stats = self.stats
-        for blocks in self._set_blocks:
+        for blocks in self._sets():
             for packed in blocks.values():
                 stats.invalidations += 1
                 if packed & 1:
@@ -312,7 +329,7 @@ class Cache:
 
     def resident_blocks(self) -> int:
         """Total number of valid blocks currently resident."""
-        return sum(len(blocks) for blocks in self._set_blocks)
+        return sum(len(blocks) for blocks in self._sets())
 
     def reset_stats(self) -> None:
         """Zero all counters without touching cache contents."""

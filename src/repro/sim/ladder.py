@@ -50,7 +50,21 @@ fused pass therefore drives the first context's copy of that cache (the
   does depend on that rung's L2 contents.
 
 Per-rung work then shrinks to: variant-L1 kernel accesses, plus L2/memory
-fills for the (rare) invariant-side misses.  Everything
+fills for the (rare) invariant-side misses and the variant side's misses.
+
+**L2-resident rungs.**  When no L2 set receives more distinct L2 blocks
+over the pilot-reduced stream than it has ways
+(:func:`repro.sim.predecode.resident_for` checks this once per trace,
+pilot side and L2 geometry), no rung's L2 can ever evict.  Every block an
+L2 sees is the L2 block of an op in that stream, and the first op to
+touch a block is a compulsory L1 miss in every rung, so an L2 read hits
+exactly when the op does not carry the stream's first-touch bit, every
+dirty-L1-victim spill is a write hit and memory sees one read per first
+touch — whatever a rung's L1 does.  Rungs that start cold and cannot
+resize mid-run (no strategy or :class:`StaticResizing`) over a stock L2
+and memory then run ``_fold_resident_d`` / ``_fold_resident_i``: the
+variant L1 inline plus counter bumps, with no L2 dict work.  Dynamic
+rungs, sampled walks and gate refusals keep the dict-L2 folds.  Everything
 configuration-*dependent* — cache contents, resize decisions, flush
 writebacks, energy, cycles — stays in per-rung state, which is why every
 rung's :class:`~repro.sim.results.SimulationResult` is **bit-identical**
@@ -67,7 +81,10 @@ introspecting ``hierarchy.miss_ratios()`` on a non-pilot context after a
 fused replay would show an idle invariant side.  When the memoized pilot
 pre-screen applies (:func:`repro.sim.predecode.pilot_for` — exhaustive
 replay, fresh fixed pilot), rung 0's copy joins them: the reduced stream
-comes from the memo and no live pilot is driven at all.
+comes from the memo and no live pilot is driven at all.  An L2-resident
+rung's L2 likewise holds no blocks after the replay (its stats, the memory
+counters and the write-back buffer are exact).  Idle caches never build
+their set storage.
 
 Exhaustive fused replays additionally consume the whole-trace pre-decode
 memo (:func:`repro.sim.predecode.decoded_for`): the decode/predict phase
@@ -77,9 +94,11 @@ variant L1's hit path inline against hoisted kernel state
 (``_dispatch_variant_d_fast`` / ``_dispatch_variant_i_fast``) — both
 bit-identical to the scalar path by the same suites.
 
-Amortization: a per-config ladder costs ``K × (slice + decode + predict +
-full dispatch + close)``; the fused pass costs ``slice + decode + predict
-+ pilot + K × (reduced dispatch + close)``.  The shared side is roughly
+Amortization: a per-config ladder costs ``K × (set-up + slice + decode +
+predict + full dispatch + close)``; the fused pass costs ``slice + decode
++ predict + pilot + gate + K × (set-up + reduced dispatch + close)``,
+where a resident rung's reduced dispatch is its variant L1 alone and its
+set-up builds no L2 or invariant-L1 sets.  The shared side is roughly
 the price of one replay, so the win grows with K (the job layer fuses
 only the rungs the job cache cannot already serve — see
 :meth:`repro.sim.runner.SweepRunner.submit_ladder`).
@@ -101,6 +120,7 @@ from repro.cache.cache import (
     PACKED_FILLED,
     PACKED_WRITEBACK_SHIFT,
     PACKED_WRITEBACK_VALID,
+    Cache,
 )
 from repro.cache.hierarchy import (
     HIER_COUNT_MASK,
@@ -108,13 +128,14 @@ from repro.cache.hierarchy import (
     HIER_MEM_ACCESSES_SHIFT,
 )
 from repro.common.errors import SimulationError
+from repro.resizing.static_strategy import StaticResizing
 from repro.sim.engine import (
     _OP_FETCH,
     _OP_LOAD,
     decode_interval,
     dispatch_cache_ops_fast,
 )
-from repro.sim.predecode import decoded_for, pilot_for
+from repro.sim.predecode import OP_FIRST_TOUCH, decoded_for, pilot_for, resident_for
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import L1Setup, ReplayContext, Simulator
 from repro.workloads.trace import Trace
@@ -162,8 +183,9 @@ class LadderEngine:
         # docstring).  A d-cache ladder pilots the L1i and vice versa; a
         # ladder that resizes both sides in some rung gets the general
         # mode, which re-dispatches the full shared stream per rung.
-        # Every mode is expressed as a (resolve, fold, rung-kernels)
-        # triple driven by one shared interval walk, so the interval
+        # Every mode is expressed as a resolve function plus per-rung
+        # (context, fold, on-resident-stream, aux, kernel_a, kernel_b)
+        # tuples driven by one shared interval walk, so the interval
         # semantics — partial final chunk, ``total_seen`` threading,
         # per-rung close ordering — exist exactly once.
         hierarchy = first.hierarchy
@@ -172,9 +194,9 @@ class LadderEngine:
             pilot_cache = hierarchy.l1i
             pilot = hierarchy._l1i_packed
             resolve = lambda ops: _resolve_pilot_i(ops, pilot)  # noqa: E731
-            fold = _fold_pilot_i
+            resident_fold = _fold_resident_d
             rungs = [
-                (ctx, ctx.hierarchy, ctx.hierarchy._l1d_packed,
+                (ctx, _fold_pilot_i, False, ctx.hierarchy, ctx.hierarchy._l1d_packed,
                  ctx.hierarchy._miss_packed)
                 for ctx in contexts
             ]
@@ -183,9 +205,9 @@ class LadderEngine:
             pilot_cache = hierarchy.l1d
             pilot = hierarchy._l1d_packed
             resolve = lambda ops: _resolve_pilot_d(ops, pilot)  # noqa: E731
-            fold = _fold_pilot_d
+            resident_fold = _fold_resident_i
             rungs = [
-                (ctx, ctx.hierarchy, ctx.hierarchy._l1i_packed,
+                (ctx, _fold_pilot_d, False, ctx.hierarchy, ctx.hierarchy._l1i_packed,
                  ctx.hierarchy._miss_packed)
                 for ctx in contexts
             ]
@@ -193,25 +215,40 @@ class LadderEngine:
             side = None
             pilot_cache = None
             resolve = _resolve_general
-            fold = _fold_general
-            rungs = [(ctx, ctx.hierarchy, None, None) for ctx in contexts]
+            rungs = [(ctx, _fold_general, False, ctx.hierarchy, None, None) for ctx in contexts]
         plan = first.sampling_plan(len(trace))
         if plan is None:
             # Exhaustive replay: try the memoized whole-trace pre-decode
             # (and, for pilot modes, the memoized pilot pre-screen — valid
             # because the pilot is the fixed full-size L1, identical in
-            # every rung and every run of this trace).  Gate refusals fall
-            # back to the scalar walk, bit-identically.
+            # every rung and every run of this trace), then the L2-resident
+            # gate, which moves every qualifying rung onto the first-touch
+            # fold.  Gate refusals fall back bit-identically.
             decoded = decoded_for(trace, first.block_mask, first.predictor)
             if decoded is not None:
-                pilot_res = None
+                pilot_res = resident = None
                 if side is not None:
                     pilot_res = pilot_for(trace, decoded, side, pilot_cache)
-                self._walk_decoded(first, rungs, resolve, fold, decoded, pilot_res)
+                if pilot_res is not None:
+                    config = hierarchy.config
+                    qualified = [
+                        k for k, rung in enumerate(rungs)
+                        if _l2_resident_rung(rung[0], side, config)
+                    ]
+                    if qualified:
+                        resident = resident_for(
+                            pilot_res, config.l2.geometry,
+                            max(config.l1i.block_bytes, config.l1d.block_bytes),
+                        )
+                    if resident is not None:
+                        for k in qualified:
+                            ctx = rungs[k][0]
+                            rungs[k] = (ctx, resident_fold, True, ctx.hierarchy, None, None)
+                self._walk_decoded(first, rungs, resolve, decoded, pilot_res, resident)
                 return
-        self._walk_intervals(trace, first, rungs, resolve, fold, plan)
+        self._walk_intervals(trace, first, rungs, resolve, plan)
 
-    def _walk_decoded(self, first, rungs, resolve, fold, decoded, pilot_res) -> None:
+    def _walk_decoded(self, first, rungs, resolve, decoded, pilot_res, resident) -> None:
         """The exhaustive interval walk over memoized pre-decoded streams.
 
         Interval totals come from the decode's per-row prefix arrays; the
@@ -219,9 +256,10 @@ class LadderEngine:
         in hand the pilot pre-screen is skipped too — the reduced stream
         and the shared hit/miss totals are sliced from the memo, and the
         live pilot cache is never driven (rung 0 joins the documented
-        idle-invariant-side caveat).  Without one (gate refusal), the
-        shared ``resolve`` runs per interval exactly as the scalar walk
-        would run it.
+        idle-invariant-side caveat); rungs on the resident stream get
+        ``resident`` (the first-touch-annotated copy, same entry offsets)
+        instead.  Without one (gate refusal), the shared ``resolve`` runs
+        per interval exactly as the scalar walk would run it.
         """
         n = decoded.n
         interval_instructions = first.interval_instructions
@@ -232,6 +270,7 @@ class LadderEngine:
         memref_prefix = decoded.memref_prefix
         store_prefix = decoded.store_prefix
         side = None if pilot_res is None else pilot_res.side
+        annotated = None
 
         total_seen = 0
         position = 0
@@ -249,6 +288,9 @@ class LadderEngine:
                 reduced, shared = resolve(interval_ops(position, stop))
             else:
                 reduced = pilot_res.interval_entries(position, stop)
+                if resident is not None:
+                    entry_prefix = pilot_res.entry_prefix
+                    annotated = resident[entry_prefix[position]:entry_prefix[stop]]
                 misses = pilot_res.miss_prefix[stop] - pilot_res.miss_prefix[position]
                 if side == "i":
                     fetches = (op_prefix[stop] - op_prefix[position]) - memory_refs
@@ -263,33 +305,34 @@ class LadderEngine:
             position = stop
             close = chunk == interval_instructions
 
-            for ctx, aux, kernel_a, kernel_b in rungs:
+            for ctx, fold, on_resident, aux, kernel_a, kernel_b in rungs:
                 counts = ctx.counts
                 counts.instructions += chunk
                 counts.branches += branches
                 counts.branch_mispredicts += branch_mispredicts
                 counts.l1d_accesses += memory_refs
                 counts.l1d_stores += stores
-                fold(counts, reduced, shared, aux, kernel_a, kernel_b)
+                fold(counts, annotated if on_resident else reduced, shared,
+                     aux, kernel_a, kernel_b)
                 if close:
                     ctx.total_seen = total_seen
                     ctx.close_interval()
 
-        for ctx, _, _, _ in rungs:
+        for ctx, *_ in rungs:
             ctx.total_seen = total_seen
             ctx.close_interval(final=True)
 
-    def _walk_intervals(self, trace, first, rungs, resolve, fold, plan) -> None:
+    def _walk_intervals(self, trace, first, rungs, resolve, plan) -> None:
         """The single shared interval walk every fused mode runs on.
 
         Per interval: slice the columns, decode once (branch prediction on
         the first context's predictor), ``resolve`` the stream once for
         all rungs (pilot modes shrink it; the general mode passes it
-        through), then ``fold`` it into each rung's counts and close that
-        rung's interval.  ``rungs`` are ``(context, aux, kernel_a,
-        kernel_b)`` tuples whose aux/kernel meaning is mode-specific — the
-        fold function and the rung list are built together in
-        :meth:`replay_many`.
+        through), then fold it into each rung's counts and close that
+        rung's interval.  ``rungs`` are ``(context, fold, on_resident, aux,
+        kernel_a, kernel_b)`` tuples whose aux/kernel meaning is
+        fold-specific, built in :meth:`replay_many` (``on_resident`` is
+        only ever set for the decoded walk).
         """
         interval_instructions = first.interval_instructions
         block_mask = first.block_mask
@@ -302,69 +345,36 @@ class LadderEngine:
         flag_view = memoryview(flag_column)
 
         n = len(trace)
-        if plan is not None:
-            # Sampled walk, same shape as ColumnarEngine's: the plan picks
-            # the row ranges, decode/resolve run once per segment, every
-            # rung folds and closes (measured) or discards (warmup).
-            last_fetch_block = -1
-            total_seen = 0
-            prev_stop = 0
-            for start, stop, measured in plan:
-                if start != prev_stop:
-                    last_fetch_block = -1
-                chunk = stop - start
-                pcs = pc_view[start:stop].tolist()
-                flags = flag_view[start:stop].tolist()
-                addresses = address_view[start:stop].tolist()
-
-                ops, last_fetch_block, branches, branch_mispredicts, memory_refs, stores = (
-                    decode(pcs, flags, addresses, chunk, block_mask, last_fetch_block, predict)
-                )
-                reduced, shared = resolve(ops)
-                total_seen += chunk
-                prev_stop = stop
-                close = measured and chunk == interval_instructions
-
-                for ctx, aux, kernel_a, kernel_b in rungs:
-                    counts = ctx.counts
-                    counts.instructions += chunk
-                    counts.branches += branches
-                    counts.branch_mispredicts += branch_mispredicts
-                    counts.l1d_accesses += memory_refs
-                    counts.l1d_stores += stores
-                    fold(counts, reduced, shared, aux, kernel_a, kernel_b)
-                    if close:
-                        ctx.total_seen = total_seen
-                        ctx.close_interval()
-                    elif not measured:
-                        ctx.discard_interval()
-
-            for ctx, _, _, _ in rungs:
-                ctx.total_seen = total_seen
-                ctx.close_interval(final=True)
-            return
-
+        if plan is None:
+            # An exhaustive walk is a sampled one with every interval
+            # measured and contiguous.
+            plan = (
+                (start, min(start + interval_instructions, n), True)
+                for start in range(0, n, interval_instructions)
+            )
+        # Same shape as ColumnarEngine's sampled walk: the plan picks the
+        # row ranges, decode/resolve run once per segment, every rung folds
+        # and closes (measured) or discards (warmup).
         last_fetch_block = -1
         total_seen = 0
-        position = 0
-        while position < n:
-            stop = position + interval_instructions
-            if stop > n:
-                stop = n
-            chunk = stop - position
-            pcs = pc_view[position:stop].tolist()
-            flags = flag_view[position:stop].tolist()
-            addresses = address_view[position:stop].tolist()
-            position = stop
+        prev_stop = 0
+        for start, stop, measured in plan:
+            if start != prev_stop:
+                last_fetch_block = -1
+            chunk = stop - start
+            pcs = pc_view[start:stop].tolist()
+            flags = flag_view[start:stop].tolist()
+            addresses = address_view[start:stop].tolist()
 
             ops, last_fetch_block, branches, branch_mispredicts, memory_refs, stores = (
                 decode(pcs, flags, addresses, chunk, block_mask, last_fetch_block, predict)
             )
             reduced, shared = resolve(ops)
             total_seen += chunk
-            close = chunk == interval_instructions
+            prev_stop = stop
+            close = measured and chunk == interval_instructions
 
-            for ctx, aux, kernel_a, kernel_b in rungs:
+            for ctx, fold, _, aux, kernel_a, kernel_b in rungs:
                 counts = ctx.counts
                 counts.instructions += chunk
                 counts.branches += branches
@@ -375,8 +385,10 @@ class LadderEngine:
                 if close:
                     ctx.total_seen = total_seen
                     ctx.close_interval()
+                elif not measured:
+                    ctx.discard_interval()
 
-        for ctx, _, _, _ in rungs:
+        for ctx, *_ in rungs:
             ctx.total_seen = total_seen
             ctx.close_interval(final=True)
 
@@ -605,7 +617,7 @@ def _dispatch_variant_d_fast(reduced, kernel_state, miss_fill, l2_state=None, me
     else:
         wb_pending = wb_entries = None
     l2_hits = l2m = l2_wb = l2_whits = l2_wm = 0
-    wb_enq = wb_over = wb_drain = 0
+    wb_enq = wb_over = 0
     d_shift1 = d_off + 1
     l2a_shift, mem_shift = HIER_L2_ACCESSES_SHIFT, HIER_MEM_ACCESSES_SHIFT
     count_mask = HIER_COUNT_MASK
@@ -719,7 +731,6 @@ def _dispatch_variant_d_fast(reduced, kernel_state, miss_fill, l2_state=None, me
                     if len(wb_pending) >= wb_entries:
                         wb_over += 1
                         wb_pending.popleft()
-                        wb_drain += 1
                     wb_pending.append(wb_addr)
                     b3 = wb_addr >> l2_off
                     t3 = b3 >> l2_idx
@@ -791,36 +802,8 @@ def _dispatch_variant_d_fast(reduced, kernel_state, miss_fill, l2_state=None, me
             if fills > 1:
                 l1d_writebacks += fills - 1
 
-    d_stats.accesses += da
-    d_stats.writes += dw
-    d_stats.reads += da - dw
-    d_stats.hits += dh
-    dm = da - dh
-    d_stats.misses += dm
-    d_stats.write_misses += dwm
-    d_stats.read_misses += dm - dwm
-    d_stats.fills += dm
-    d_stats.writebacks += dwb
-    if l2_hits or l2m or l2_whits or l2_wm:
-        l2_stats.accesses += l2_hits + l2m + l2_whits + l2_wm
-        l2_stats.reads += l2_hits + l2m
-        l2_stats.writes += l2_whits + l2_wm
-        l2_stats.hits += l2_hits + l2_whits
-        l2_stats.misses += l2m + l2_wm
-        l2_stats.read_misses += l2m
-        l2_stats.write_misses += l2_wm
-        l2_stats.fills += l2m + l2_wm
-        l2_stats.writebacks += l2_wb
-    if l2m or l2_wm or l2_wb:
-        mem_reads, mem_writes, mem_bytes, l2_block, _ = mem_state
-        mem_reads.value += l2m + l2_wm
-        mem_writes.value += l2_wb
-        mem_bytes.value += (l2m + l2_wm + l2_wb) * l2_block
-    if wb_enq:
-        wb_buffer = mem_state[4]
-        wb_buffer.enqueued += wb_enq
-        wb_buffer.overflows += wb_over
-        wb_buffer.drained += wb_drain
+    _flush_l1(d_stats, da, dw, dh, dwm, dwb)
+    _flush_l2(l2_stats, mem_state, l2_hits, l2m, l2_whits, l2_wm, l2_wb, wb_enq, wb_over)
     return l1i_memory, l1d_misses, l1d_memory, l1d_writebacks, l2_accesses, memory_accesses
 
 
@@ -894,7 +877,7 @@ def _dispatch_variant_i_fast(reduced, kernel_state, miss_fill, l2_state=None, me
     else:
         wb_pending = wb_entries = None
     l2_hits = l2m = l2_wb = l2_whits = l2_wm = 0
-    wb_enq = wb_over = wb_drain = 0
+    wb_enq = wb_over = 0
     i_shift1 = i_off + 1
     l2a_shift, mem_shift = HIER_L2_ACCESSES_SHIFT, HIER_MEM_ACCESSES_SHIFT
     count_mask = HIER_COUNT_MASK
@@ -1030,7 +1013,6 @@ def _dispatch_variant_i_fast(reduced, kernel_state, miss_fill, l2_state=None, me
                 if len(wb_pending) >= wb_entries:
                     wb_over += 1
                     wb_pending.popleft()
-                    wb_drain += 1
                 wb_pending.append(wb_addr)
                 b3 = wb_addr >> l2_off
                 t3 = b3 >> l2_idx
@@ -1064,35 +1046,214 @@ def _dispatch_variant_i_fast(reduced, kernel_state, miss_fill, l2_state=None, me
             memory_accesses += transfers
             l1d_memory += transfers
 
-    i_stats.accesses += ia
-    i_stats.reads += ia
-    i_stats.hits += ih
-    im = ia - ih
-    i_stats.misses += im
-    i_stats.read_misses += im
-    i_stats.fills += im
-    i_stats.writebacks += iwb
-    if l2_hits or l2m or l2_whits or l2_wm:
-        l2_stats.accesses += l2_hits + l2m + l2_whits + l2_wm
-        l2_stats.reads += l2_hits + l2m
-        l2_stats.writes += l2_whits + l2_wm
-        l2_stats.hits += l2_hits + l2_whits
-        l2_stats.misses += l2m + l2_wm
-        l2_stats.read_misses += l2m
-        l2_stats.write_misses += l2_wm
-        l2_stats.fills += l2m + l2_wm
-        l2_stats.writebacks += l2_wb
-    if l2m or l2_wm or l2_wb:
-        mem_reads, mem_writes, mem_bytes, l2_block, _ = mem_state
-        mem_reads.value += l2m + l2_wm
-        mem_writes.value += l2_wb
-        mem_bytes.value += (l2m + l2_wm + l2_wb) * l2_block
-    if wb_enq:
-        wb_buffer = mem_state[4]
-        wb_buffer.enqueued += wb_enq
-        wb_buffer.overflows += wb_over
-        wb_buffer.drained += wb_drain
+    _flush_l1(i_stats, ia, 0, ih, 0, iwb)
+    _flush_l2(l2_stats, mem_state, l2_hits, l2m, l2_whits, l2_wm, l2_wb, wb_enq, wb_over)
     return ia, l1i_misses, l1i_memory, l1d_memory, l2_accesses, memory_accesses
+
+
+def _flush_l1(stats, accesses, writes, hits, write_misses, writebacks) -> None:
+    """Flush one interval's inline L1 access deltas into the cache's stats."""
+    misses = accesses - hits
+    stats.accesses += accesses
+    stats.writes += writes
+    stats.reads += accesses - writes
+    stats.hits += hits
+    stats.misses += misses
+    stats.write_misses += write_misses
+    stats.read_misses += misses - write_misses
+    stats.fills += misses
+    stats.writebacks += writebacks
+
+
+def _flush_l2(l2_stats, mem_state, read_hits, read_misses, write_hits, write_misses,
+              evictions, enqueued, overflows) -> None:
+    """Flush one interval's inline L2, memory and write-back-buffer deltas.
+
+    ``evictions`` counts dirty L2 victims written to memory; each buffer
+    overflow drains one entry, so ``overflows`` is also the drain count.
+    """
+    misses = read_misses + write_misses
+    if read_hits or write_hits or misses:
+        l2_stats.accesses += read_hits + write_hits + misses
+        l2_stats.reads += read_hits + read_misses
+        l2_stats.writes += write_hits + write_misses
+        l2_stats.hits += read_hits + write_hits
+        l2_stats.misses += misses
+        l2_stats.read_misses += read_misses
+        l2_stats.write_misses += write_misses
+        l2_stats.fills += misses
+        l2_stats.writebacks += evictions
+    if misses or evictions:
+        mem_reads, mem_writes, mem_bytes, l2_block, _ = mem_state
+        mem_reads.value += misses
+        mem_writes.value += evictions
+        mem_bytes.value += (misses + evictions) * l2_block
+    if enqueued:
+        wb_buffer = mem_state[4]
+        wb_buffer.enqueued += enqueued
+        wb_buffer.overflows += overflows
+        wb_buffer.drained += overflows
+
+
+def _fold_resident_d(counts, stream, shared, hierarchy, _kernel_a, _kernel_b):
+    """:func:`_fold_pilot_i` for an L2-resident rung (d-cache ladder).
+
+    ``stream`` is the first-touch-annotated reduced stream.  The variant
+    L1d runs inline as in :func:`_dispatch_variant_d_fast`; the L2 is never
+    touched: a read hits unless the op carries the first-touch bit (then
+    memory supplies the block), and a dirty L1d victim goes through the
+    write-back buffer into an L2 write hit.
+    """
+    fetches, i_misses = shared
+    (d_stats, d_sets, d_off, d_idx, d_mask, d_ways, d_refresh, d_random, d_selector) = (
+        hierarchy.l1d._kernel_state()
+    )
+    wb_pending = hierarchy.writeback_buffer._pending
+    wb_entries = hierarchy.writeback_buffer.num_entries
+    first_touch = OP_FIRST_TOUCH
+    d_shift1 = d_off + 1
+    da = dw = dh = dwm = dwb = wb_over = 0
+    i_first = d_first = 0
+    stream = iter(stream)
+    for code in stream:
+        operand = next(stream)
+        if (code & 3) == 3:  # a pre-resolved i-miss: its L2 read is in i_misses
+            if code & first_touch:
+                i_first += 1
+            continue
+        is_write = code & 2  # a store
+        da += 1
+        if is_write:
+            dw += 1
+        block = operand >> d_off
+        tag = block >> d_idx
+        blocks = d_sets[block & d_mask]
+        packed = blocks.get(tag)
+        if packed is not None:
+            dh += 1
+            if is_write:
+                packed |= 1
+                if d_refresh:
+                    del blocks[tag]
+                blocks[tag] = packed
+            elif d_refresh:
+                del blocks[tag]
+                blocks[tag] = packed
+            continue
+        if is_write:
+            dwm += 1
+        if code & first_touch:
+            d_first += 1
+        if len(blocks) >= d_ways:
+            victim = blocks.pop(
+                d_selector.choose_victim(blocks) if d_random else next(iter(blocks))
+            )
+            if victim & 1:
+                dwb += 1
+                if len(wb_pending) >= wb_entries:
+                    wb_over += 1
+                    wb_pending.popleft()
+                wb_pending.append(victim >> 1)
+        blocks[tag] = (block << d_shift1) | (1 if is_write else 0)
+
+    dm = da - dh
+    first = i_first + d_first
+    _flush_l1(d_stats, da, dw, dh, dwm, dwb)
+    _flush_l2(hierarchy.l2.stats, hierarchy._memory_state(),
+              i_misses + dm - first, first, dwb, 0, 0, dwb, wb_over)
+    counts.l1i_accesses += fetches
+    counts.l1i_misses += i_misses
+    counts.l1i_memory_accesses += i_first
+    counts.l1d_misses += dm
+    counts.l1d_memory_accesses += d_first
+    counts.l1d_writebacks += dwb
+    counts.l2_accesses += i_misses + dm + dwb
+    counts.memory_accesses += first
+
+
+def _fold_resident_i(counts, stream, shared, hierarchy, _kernel_a, _kernel_b):
+    """:func:`_fold_pilot_d` for an L2-resident rung (i-cache ladder).
+
+    Same rule as :func:`_fold_resident_d`, with the variant L1i inline.
+    Every rung repeats the pre-resolved d-misses' shared dirty-victim
+    pushes; the L1i is never written, so its own victims are clean.
+    """
+    d_misses, d_writebacks = shared
+    (i_stats, i_sets, i_off, i_idx, i_mask, i_ways, i_refresh, i_random, i_selector) = (
+        hierarchy.l1i._kernel_state()
+    )
+    wb_pending = hierarchy.writeback_buffer._pending
+    wb_entries = hierarchy.writeback_buffer.num_entries
+    wb_valid, wb_shift = PACKED_WRITEBACK_VALID, PACKED_WRITEBACK_SHIFT
+    first_touch = OP_FIRST_TOUCH
+    i_shift1 = i_off + 1
+    ia = ih = wb_over = 0
+    i_first = d_first = 0
+    stream = iter(stream)
+    for code in stream:
+        operand = next(stream)
+        if code & 4:  # a pre-resolved d-miss: its L2 read is in d_misses
+            l1_packed = next(stream)
+            if code & first_touch:
+                d_first += 1
+            if l1_packed & wb_valid:
+                if len(wb_pending) >= wb_entries:
+                    wb_over += 1
+                    wb_pending.popleft()
+                wb_pending.append(l1_packed >> wb_shift)
+            continue
+        ia += 1
+        block = operand >> i_off
+        tag = block >> i_idx
+        blocks = i_sets[block & i_mask]
+        packed = blocks.get(tag)
+        if packed is not None:
+            ih += 1
+            if i_refresh:
+                del blocks[tag]
+                blocks[tag] = packed
+            continue
+        if code & first_touch:
+            i_first += 1
+        if len(blocks) >= i_ways:
+            del blocks[i_selector.choose_victim(blocks) if i_random else next(iter(blocks))]
+        blocks[tag] = block << i_shift1
+
+    im = ia - ih
+    first = i_first + d_first
+    _flush_l1(i_stats, ia, 0, ih, 0, 0)
+    _flush_l2(hierarchy.l2.stats, hierarchy._memory_state(),
+              im + d_misses - first, first, d_writebacks, 0, 0, d_writebacks, wb_over)
+    counts.l1d_misses += d_misses
+    counts.l1d_writebacks += d_writebacks
+    counts.l1i_accesses += ia
+    counts.l1i_misses += im
+    counts.l1i_memory_accesses += i_first
+    counts.l1d_memory_accesses += d_first
+    counts.l2_accesses += im + d_misses + d_writebacks
+    counts.memory_accesses += first
+
+
+def _l2_resident_rung(ctx, side, config) -> bool:
+    """Whether the first-touch rule is exact for this rung.
+
+    It needs the ladder's stock, untouched L2 over stock memory, a cold
+    variant L1 with the inline kernel, and no mid-run resize or flush (no
+    strategy, or :class:`StaticResizing`, whose one resize lands on the
+    empty cache before the run).
+    """
+    hierarchy = ctx.hierarchy
+    l2 = hierarchy.l2
+    variant = hierarchy.l1d if side == "i" else hierarchy.l1i
+    return (
+        hierarchy.config is config and type(l2) is Cache and l2.geometry == config.l2.geometry
+        and l2.stats.accesses == 0 and variant.stats.accesses == 0
+        and hierarchy._memory_state() is not None and hasattr(variant, "_kernel_state")
+        and all(
+            runtime.strategy is None or type(runtime.strategy) is StaticResizing
+            for runtime in (ctx.d_runtime, ctx.i_runtime)
+        )
+    )
 
 
 def run_fused(

@@ -19,6 +19,10 @@ slice its intervals out of the precomputed stream:
   only on its own geometry, so the pilot-reduced stream of
   :mod:`repro.sim.ladder` is itself trace-invariant and is memoized per
   (trace, side, pilot geometry).
+* The L2-resident gate (:func:`resident_for`) — whether an L2 of a given
+  geometry can ever evict under that reduced stream, and if not, the
+  stream annotated with first-touch bits; memoized on the
+  :class:`PilotResolution` per L2 geometry.
 
 Both memos key off live :class:`~repro.workloads.trace.Trace` objects
 (weakly, so traces die normally); :class:`DecodedTrace` additionally
@@ -46,6 +50,7 @@ Op codes (shared layout with :mod:`repro.sim.engine` /
     2  store   operand = data address
     3  i-miss  operand = pc                     (pilot-reduced streams only)
     4  d-miss  operands = address, l1_packed    (pilot-reduced streams only)
+    +8 first touch of the op's L2 block         (L2-resident streams only)
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ from typing import Dict, List, Optional
 from repro.cache.cache import PACKED_WRITEBACK_VALID, Cache
 from repro.common.counters import CounterRegistry
 from repro.cpu.branch import BimodalBranchPredictor
+from repro.mem.address import AddressMapper
 from repro.sim.vector import numpy_or_none
 from repro.workloads.trace import FLAG_BRANCH, FLAG_MEM, FLAG_STORE, FLAG_TAKEN, Trace
 
@@ -66,6 +72,7 @@ OP_LOAD = 1
 OP_STORE = 2
 OP_IMISS = 3
 OP_DMISS = 4
+OP_FIRST_TOUCH = 8
 
 #: Bumped whenever the decoded layout or semantics change; part of the
 #: on-disk memo key, so stale entries are simply never found.
@@ -88,6 +95,8 @@ _STATS = CounterRegistry({
     "decode_disk_hits": 0,
     "pilot_builds": 0,
     "pilot_memo_hits": 0,
+    "l2_resident_ladders": 0,
+    "l2_resident_refusals": 0,
 })
 
 _DECODE_MEMO: "weakref.WeakKeyDictionary[Trace, Dict[int, DecodedTrace]]" = (
@@ -211,9 +220,10 @@ class PilotResolution:
     flat *entries*, not pairs).  ``miss_prefix`` carries the shared
     per-row running miss total (i-misses for side "i", d-misses for side
     "d"); ``wb_prefix`` the shared d-writeback total (side "d" only).
+    ``resident`` memoizes :func:`resident_for` per L2 geometry.
     """
 
-    __slots__ = ("side", "entries", "entry_prefix", "miss_prefix", "wb_prefix")
+    __slots__ = ("side", "entries", "entry_prefix", "miss_prefix", "wb_prefix", "resident")
 
     def __init__(self, side, entries, entry_prefix, miss_prefix, wb_prefix):
         self.side = side
@@ -221,6 +231,7 @@ class PilotResolution:
         self.entry_prefix = entry_prefix
         self.miss_prefix = miss_prefix
         self.wb_prefix = wb_prefix
+        self.resident: Dict[object, Optional[List[int]]] = {}
 
     def interval_entries(self, start: int, stop: int) -> List[int]:
         """The flat reduced-op list for rows ``[start, stop)``."""
@@ -533,6 +544,58 @@ def pilot_for(trace: Trace, decoded: DecodedTrace, side: str, cache) -> Optional
             return pilot
     per_trace[key] = pilot
     return pilot
+
+
+def resident_for(pilot: PilotResolution, l2_geometry, l1_block_bytes: int) -> Optional[List[int]]:
+    """The reduced stream with first-touch bits, or None when an L2 could evict.
+
+    The gate holds when no set of an L2 with ``l2_geometry`` receives more
+    distinct L2 blocks over ``pilot.entries`` than it has ways, and L1
+    blocks are no larger than L2 blocks.  Every block any rung's L2 sees is
+    then the L2 block of some op in the stream (victims were filled by an
+    earlier op), so no rung can ever evict from its L2, and an op's L2
+    read misses exactly when the op is the first to touch its L2 block —
+    the op whose code carries :data:`OP_FIRST_TOUCH` (its L1 access is a
+    compulsory miss in every rung).  Counted once per ladder consulting
+    the gate.
+    """
+    annotated = None
+    if l1_block_bytes <= l2_geometry.block_bytes:
+        if l2_geometry not in pilot.resident:
+            pilot.resident[l2_geometry] = _annotate_first_touch(pilot.entries, l2_geometry)
+        annotated = pilot.resident[l2_geometry]
+    _STATS["l2_resident_ladders" if annotated is not None else "l2_resident_refusals"] += 1
+    return annotated
+
+
+def _annotate_first_touch(entries: List[int], geometry) -> Optional[List[int]]:
+    offset_bits, _, set_mask = AddressMapper(geometry.block_bytes, geometry.num_sets).shift_mask()
+    ways = geometry.associativity
+    seen = set()
+    per_set: Dict[int, int] = {}
+    annotated: List[int] = []
+    append = annotated.append
+    position = 0
+    end = len(entries)
+    while position < end:
+        code = entries[position]
+        operand = entries[position + 1]
+        block = operand >> offset_bits
+        if block in seen:
+            append(code)
+        else:
+            seen.add(block)
+            count = per_set.get(block & set_mask, 0) + 1
+            if count > ways:
+                return None
+            per_set[block & set_mask] = count
+            append(code | OP_FIRST_TOUCH)
+        append(operand)
+        position += 2
+        if code == OP_DMISS:
+            append(entries[position])
+            position += 1
+    return annotated
 
 
 def _load_from_disk(trace: Trace, block_mask: int) -> Optional[DecodedTrace]:

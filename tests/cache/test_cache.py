@@ -135,3 +135,46 @@ class TestCapacityAndConflicts:
         small_cache.reset_stats()
         assert small_cache.stats.accesses == 0
         assert small_cache.access(0x0).hit
+
+
+class TestLazySetStorage:
+    """Set storage is built on first use; an untouched cache holds none."""
+
+    @staticmethod
+    def built(cache) -> bool:
+        return cache._set_blocks is not None
+
+    def test_untouched_cache_allocates_no_sets(self, small_cache):
+        assert not self.built(small_cache)
+        assert small_cache.stats.accesses == 0
+        repr(small_cache)
+        assert not self.built(small_cache)
+
+    @pytest.mark.parametrize("operation", ["probe", "invalidate", "flush_all", "resident_blocks"])
+    def test_untouched_cache_behaves_as_empty(self, small_geometry, operation):
+        untouched = Cache(small_geometry, name="test-l1")
+        emptied = Cache(small_geometry, name="test-l1")
+        emptied.access(0x40, is_write=True)
+        emptied.flush_all()
+        emptied.reset_stats()
+        calls = {
+            "probe": lambda cache: cache.probe(0x40),
+            "invalidate": lambda cache: cache.invalidate(0x40),
+            "flush_all": lambda cache: cache.flush_all(),
+            "resident_blocks": lambda cache: cache.resident_blocks(),
+        }
+        assert calls[operation](untouched) == calls[operation](emptied)
+        assert untouched.stats.as_dict() == emptied.stats.as_dict()
+        # The untouched cache still serves accesses as a cold cache.
+        assert not untouched.access(0x40).hit
+        assert untouched.access(0x40).hit
+
+    def test_kernel_state_builds_the_storage(self, small_geometry):
+        cache = Cache(small_geometry)
+        set_blocks = cache._kernel_state()[1]
+        assert self.built(cache)
+        assert len(set_blocks) == small_geometry.num_sets
+        assert all(blocks == {} for blocks in set_blocks)
+        # The kernel and the hoisted state share the same dicts.
+        cache.access_packed(0x80, True)
+        assert sum(len(blocks) for blocks in set_blocks) == 1

@@ -8,21 +8,39 @@ byte-identical ``SimulationResult.to_dict()`` payloads against standalone
 :meth:`Simulator.run` executions of every rung.  Any divergence — a
 mis-shared branch outcome, a pilot-side op wrongly dropped, an interval
 closed in the wrong order — fails with a shrunken minimal example.
+
+The L2 geometry is drawn too.  Under the default 512 KB 4-way L2 no drawn
+trace puts more distinct blocks in an L2 set than it has ways, so every
+ladder with a pilot side resolves its static rungs' L2 from first-touch
+bits; an 8 KB 2-way L2 holds fewer frames than any drawn trace touches, so
+the gate refuses and the same rungs take the dict-L2 path.  Each example
+asserts which of the two outcomes it reached.
 """
 
-from hypothesis import given, settings, strategies as st
+from dataclasses import replace
 
-from repro.common.config import SystemConfig
+from hypothesis import example, given, settings, strategies as st
+
+from repro.common.config import CacheGeometry, SystemConfig
+from repro.common.units import KIB
 from repro.resizing.dynamic_strategy import DynamicResizing
 from repro.resizing.hybrid import HybridSetsAndWays
 from repro.resizing.selective_sets import SelectiveSets
 from repro.resizing.selective_ways import SelectiveWays
 from repro.resizing.static_strategy import StaticResizing
+from repro.sim import predecode
 from repro.sim.ladder import run_fused
 from repro.sim.runner import TraceSpec
 from repro.sim.simulator import L1Setup, Simulator
 
 _SYSTEM = SystemConfig()
+
+_SYSTEMS = {
+    "default-l2": _SYSTEM,
+    "small-l2": replace(
+        _SYSTEM, l2=replace(_SYSTEM.l2, geometry=CacheGeometry(8 * KIB, 2, block_bytes=64)),
+    ),
+}
 
 _APPLICATIONS = st.sampled_from(["gcc", "compress", "swim", "vortex"])
 
@@ -46,6 +64,7 @@ def _build_setups(factory, target, with_baseline, with_dynamic):
     """Fresh, stateful setup objects for one ladder (standalone or fused)."""
 
     def one_side(side):
+        # Both drawn systems share the default L1 geometries.
         geometry = _SYSTEM.l1d if side == "d" else _SYSTEM.l1i
         organization = factory(geometry)
         ladder = organization.ladder()
@@ -89,17 +108,25 @@ def _build_setups(factory, target, with_baseline, with_dynamic):
     target=_TARGETS,
     with_baseline=_WITH_BASELINE,
     with_dynamic=_WITH_DYNAMIC,
+    l2=st.sampled_from(sorted(_SYSTEMS)),
 )
+@example(application="gcc", length=3_001, interval=1_024, warmup_fraction=0.13,
+         factory=SelectiveWays, target="d", with_baseline=True, with_dynamic=False,
+         l2="default-l2")
+@example(application="gcc", length=3_001, interval=1_024, warmup_fraction=0.13,
+         factory=SelectiveWays, target="i", with_baseline=True, with_dynamic=False,
+         l2="small-l2")
 @settings(max_examples=15, deadline=None)
 def test_fused_ladder_agrees_with_standalone_runs(
     application, length, interval, warmup_fraction, factory, target,
-    with_baseline, with_dynamic,
+    with_baseline, with_dynamic, l2,
 ):
+    system = _SYSTEMS[l2]
     trace = TraceSpec(application, length).materialize()
     warmup = int(length * warmup_fraction)
 
     standalone = [
-        Simulator(_SYSTEM).run(
+        Simulator(system).run(
             trace,
             d_setup=d_setup,
             i_setup=i_setup,
@@ -108,10 +135,11 @@ def test_fused_ladder_agrees_with_standalone_runs(
         ).to_dict()
         for d_setup, i_setup in _build_setups(factory, target, with_baseline, with_dynamic)
     ]
+    predecode.reset_stats()
     fused = [
         result.to_dict()
         for result in run_fused(
-            Simulator(_SYSTEM),
+            Simulator(system),
             trace,
             _build_setups(factory, target, with_baseline, with_dynamic),
             interval_instructions=interval,
@@ -119,3 +147,11 @@ def test_fused_ladder_agrees_with_standalone_runs(
         )
     ]
     assert fused == standalone
+    stats = predecode.stats_snapshot()
+    outcome = (stats["l2_resident_ladders"], stats["l2_resident_refusals"])
+    if target == "both":
+        assert outcome == (0, 0)  # no pilot side, so no gate
+    elif l2 == "default-l2":
+        assert outcome == (1, 0)
+    else:
+        assert outcome == (0, 1)

@@ -7,7 +7,10 @@ Three layers are covered here:
   for every rung, across all three paper organizations, both L1 targets
   (exercising both pilot sides), warmup boundaries, odd final intervals,
   dynamic rungs and the heterogeneous general path — and equal to *both*
-  single-run engines, since engines are bit-identical by contract.
+  single-run engines, since engines are bit-identical by contract.  The
+  L2-resident cases (gate refused, dirty victims through a one-entry
+  write-back buffer, a dynamic rung beside static ones) also compare each
+  rung's L2, memory and write-back-buffer state.
 * **Job layer** — :class:`LadderJob` validation, worker execution and the
   per-rung cache fan-out of :meth:`SweepRunner.submit_ladder`, including
   the partially-warm case (only missing rungs are fused) and the
@@ -17,8 +20,11 @@ Three layers are covered here:
   per-config mode, with both modes serving each other's warm caches.
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro.__main__ import transport_stats_line
 from repro.common.config import SystemConfig
 from repro.common.errors import SimulationError
 from repro.resizing.dynamic_strategy import DynamicResizing
@@ -26,6 +32,8 @@ from repro.resizing.hybrid import HybridSetsAndWays
 from repro.resizing.selective_sets import SelectiveSets
 from repro.resizing.selective_ways import SelectiveWays
 from repro.resizing.static_strategy import StaticResizing
+from repro.sim import predecode
+from repro.sim.engine import get_engine
 from repro.sim.jobcache import JobCache
 from repro.sim.ladder import LadderEngine, run_fused
 from repro.sim.runner import (
@@ -47,6 +55,7 @@ from repro.sim.sweep import (
     profile_static,
     submit_profile_static,
 )
+from repro.workloads.trace import InstructionRecord, Trace
 
 ORGANIZATIONS = [SelectiveWays, SelectiveSets, HybridSetsAndWays]
 
@@ -200,6 +209,150 @@ class TestEngineEquivalence:
         LadderEngine().replay_many(trace, [])  # no-op, not an error
 
 
+def _synthetic_trace(name, addresses, stores):
+    """A 4k-row trace cycling ``addresses`` (every other row a data access).
+
+    Instructions loop over a 64-instruction code block whose L2 sets no
+    data address shares, so the sets the data addresses land in see only
+    them.  With ``stores``, two of every three data accesses are stores.
+    """
+    records = []
+    for row in range(4_000):
+        pc = 0x1000 + 4 * (row % 64)
+        if row % 2:
+            k = row // 2
+            address = addresses[k % len(addresses)]
+            records.append(InstructionRecord(pc, address, stores and k % 3 != 2, False, False))
+        else:
+            records.append(InstructionRecord(pc, None, False, row % 16 == 0, row % 32 == 0))
+    return Trace.from_records(name, records)
+
+
+def _observable(ctx):
+    """Everything a rung's run leaves behind that a replay path could skew."""
+    hierarchy = ctx.hierarchy
+    buffer = hierarchy.writeback_buffer
+    return {
+        "result": Simulator._finalize_run(ctx).to_dict(),
+        "l2": hierarchy.l2.stats.as_dict(),
+        "memory": hierarchy.memory.stats.as_dict(),
+        "writeback_buffer": (
+            buffer.enqueued, buffer.overflows, buffer.drained, list(buffer._pending),
+        ),
+    }
+
+
+def _fused_vs_standalone(system, trace, setups, interval=500, prepare=lambda ctx: None):
+    """Replay ``setups()`` fused and one by one on the columnar engine.
+
+    ``prepare`` runs on every fresh context before its replay.  Returns
+    the fused contexts, their observables and the standalone observables,
+    rung for rung.
+    """
+    simulator = Simulator(system)
+    fused = [simulator._prepare_run(trace, d, i, interval, 300) for d, i in setups()]
+    for ctx in fused:
+        prepare(ctx)
+    LadderEngine().replay_many(trace, fused)
+    standalone = []
+    for d, i in setups():
+        ctx = simulator._prepare_run(trace, d, i, interval, 300)
+        prepare(ctx)
+        get_engine("columnar").replay(trace, ctx)
+        standalone.append(_observable(ctx))
+    return fused, [_observable(ctx) for ctx in fused], standalone
+
+
+def _l2_built(ctx) -> bool:
+    return ctx.hierarchy.l2._set_blocks is not None
+
+
+class TestL2ResidentMode:
+    """Fused rungs whose L2 can never evict resolve it from first-touch bits.
+
+    Each case compares every rung's result, L2 stats, memory stats and
+    write-back buffer with a standalone run, and checks which path ran: a
+    resident rung never builds its L2's set storage.
+    """
+
+    @pytest.mark.parametrize("target", [DCACHE, ICACHE])
+    def test_over_full_l2_set_refuses(self, system, target):
+        l2 = system.l2.geometry
+        stride = l2.num_sets * l2.block_bytes
+        ways = l2.associativity
+        trace = _synthetic_trace("l2-set-overflow", [k * stride for k in range(ways + 1)], True)
+        predecode.reset_stats()
+        fused, observed, standalone = _fused_vs_standalone(
+            system, trace, lambda: _ladder_setups(system, SelectiveWays, target)
+        )
+        assert observed == standalone
+        assert predecode.stats_snapshot()["l2_resident_refusals"] == 1
+        assert predecode.stats_snapshot()["l2_resident_ladders"] == 0
+        assert all(_l2_built(ctx) for ctx in fused)
+        # The L2 really evicted: more read misses than distinct blocks.
+        assert standalone[0]["l2"]["misses"] > ways + 1
+
+    @pytest.mark.parametrize("target", [DCACHE, ICACHE])
+    def test_dirty_victims_through_a_one_entry_buffer(self, system, target):
+        tight = replace(system, core=replace(system.core, writeback_buffer_entries=1))
+        l1_stride = system.l1d.num_sets * system.l1d.block_bytes
+        # Four blocks, mostly stored to, cycling through one 2-way L1d set:
+        # misses keep evicting dirty victims, all in distinct L2 sets.
+        trace = _synthetic_trace("dirty-victims", [k * l1_stride for k in range(4)], True)
+        predecode.reset_stats()
+        fused, observed, standalone = _fused_vs_standalone(
+            tight, trace, lambda: _ladder_setups(tight, SelectiveWays, target)
+        )
+        assert observed == standalone
+        assert predecode.stats_snapshot()["l2_resident_ladders"] == 1
+        assert not any(_l2_built(ctx) for ctx in fused)
+        for payload in standalone:
+            enqueued, overflows, drained, pending = payload["writeback_buffer"]
+            assert enqueued > 100 and overflows == enqueued - 1 == drained
+            assert len(pending) == 1
+            assert payload["l2"]["writes"] == enqueued
+            assert payload["memory"]["writes"] == 0
+
+    def test_prewarmed_l1_keeps_the_dict_path(self, system):
+        # A block already in the L1d never reaches the L2 on its first
+        # touch, so once the L1d evicts it the next read misses in the L2
+        # though the stream's first-touch bit says it should hit.
+        l1_stride = system.l1d.num_sets * system.l1d.block_bytes
+        trace = _synthetic_trace("prewarmed", [k * l1_stride for k in range(4)], False)
+        predecode.reset_stats()
+        fused, observed, standalone = _fused_vs_standalone(
+            system, trace, lambda: _ladder_setups(system, SelectiveWays, DCACHE),
+            prepare=lambda ctx: ctx.hierarchy.l1d.access(0),
+        )
+        assert observed == standalone
+        stats = predecode.stats_snapshot()
+        assert (stats["l2_resident_ladders"], stats["l2_resident_refusals"]) == (0, 0)
+        assert all(_l2_built(ctx) for ctx in fused)
+
+    def test_dynamic_rung_keeps_the_dict_path(self, system, trace):
+        geometry = system.l1d
+
+        def setups():
+            return [
+                (None, None),
+                (L1Setup(
+                    SelectiveSets(geometry), StaticResizing(SelectiveSets(geometry).ladder()[1]),
+                ), None),
+                (L1Setup(
+                    SelectiveSets(geometry),
+                    DynamicResizing(40, 2 * 1024, sense_interval_accesses=128),
+                ), None),
+            ]
+
+        predecode.reset_stats()
+        fused, observed, standalone = _fused_vs_standalone(system, trace, setups)
+        assert observed == standalone
+        assert predecode.stats_snapshot()["l2_resident_ladders"] == 1
+        assert [_l2_built(ctx) for ctx in fused] == [False, False, True]
+        # The dynamic rung resizes mid-run and flushes dirty blocks into L2.
+        assert standalone[2]["result"]["l1d_flush_writebacks"] > 0
+
+
 def _rung_jobs(system, organization, interval=500, n_instructions=3_000):
     """Baseline + whole-ladder rung jobs sharing one trace spec."""
     trace = TraceSpec("m88ksim", n_instructions)
@@ -279,6 +432,11 @@ class TestSubmitLadder:
             parallel = runner.gather(runner.submit_ladder(ladder_jobs))
             assert runner.pool_batches == 1
             assert runner.inline_executions == 0
+            # The worker's gate outcome reaches the parent's --stats line.
+            assert runner.worker_stats["l2_resident_ladders"] == 1
+            assert "1 L2-resident ladder(s), 0 L2-resident refusal(s)" in (
+                transport_stats_line(runner)
+            )
         assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
 
     def test_fused_results_fan_out_to_per_rung_fingerprints(self, tmp_path, ladder_jobs):

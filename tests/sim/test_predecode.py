@@ -4,8 +4,9 @@ The module's correctness contract is that a whole-trace decode equals the
 concatenation of per-interval :func:`repro.sim.engine.decode_interval`
 outputs — ops and all four totals — for *any* interval partition, and that
 the NumPy and stdlib builders are bit-identical.  These tests pin both,
-plus the disk serialization round-trip, the memo counters, and the gates
-that force scalar replay (non-default predictors, warm pilots).
+plus the disk serialization round-trip, the memo counters, the gates
+that force scalar replay (non-default predictors, warm pilots), and the
+L2-resident gate's first-touch annotation.
 """
 
 from array import array
@@ -13,16 +14,20 @@ from array import array
 import pytest
 
 from repro.cache.cache import Cache
-from repro.common.config import SystemConfig
+from repro.common.config import CacheGeometry, SystemConfig
+from repro.common.units import KIB
 from repro.cpu.branch import BimodalBranchPredictor
 from repro.sim import predecode
 from repro.sim.engine import decode_interval
 from repro.sim.predecode import (
+    OP_DMISS,
+    OP_FIRST_TOUCH,
     DecodedTrace,
     build_decoded,
     build_pilot,
     decoded_for,
     pilot_for,
+    resident_for,
 )
 from repro.sim.runner import TraceSpec
 from repro.sim.vector import numpy_or_none
@@ -190,6 +195,45 @@ def test_pilot_interval_entries_partition_consistently(trace):
             assert pilot.wb_prefix is not None
         else:
             assert pilot.wb_prefix is None
+
+
+def test_resident_gate_marks_each_l2_blocks_first_touch(trace):
+    """The annotated stream is the reduced stream plus one bit per L2 block."""
+    predecode.reset_stats()
+    decoded = build_decoded(trace, _BLOCK_MASK)
+    l2 = _SYSTEM.l2.geometry
+    l1_block = _SYSTEM.l1d.block_bytes
+    for side, geometry in (("i", _SYSTEM.l1i), ("d", _SYSTEM.l1d)):
+        pilot = build_pilot(decoded, side, geometry, Cache(geometry).replacement, side)
+        annotated = resident_for(pilot, l2, l1_block)
+        assert annotated is not None
+        assert resident_for(pilot, l2, l1_block) is annotated  # memoized per geometry
+        assert len(annotated) == len(pilot.entries)
+        seen = set()
+        position = 0
+        while position < len(annotated):
+            code, operand = annotated[position], annotated[position + 1]
+            block = operand // l2.block_bytes
+            assert bool(code & OP_FIRST_TOUCH) == (block not in seen)
+            seen.add(block)
+            assert code & ~OP_FIRST_TOUCH == pilot.entries[position]
+            position += 3 if code & ~OP_FIRST_TOUCH == OP_DMISS else 2
+        assert annotated[position - 1] == pilot.entries[-1]
+    stats = predecode.stats_snapshot()
+    assert (stats["l2_resident_ladders"], stats["l2_resident_refusals"]) == (4, 0)
+
+
+def test_resident_gate_refuses_evicting_l2s(trace):
+    predecode.reset_stats()
+    decoded = build_decoded(trace, _BLOCK_MASK)
+    pilot = build_pilot(decoded, "i", _SYSTEM.l1i, Cache(_SYSTEM.l1i).replacement, "i")
+    # Fewer L2 frames than the trace touches: some set must overflow.
+    assert resident_for(pilot, CacheGeometry(8 * KIB, 2, block_bytes=64), 32) is None
+    # L1 blocks larger than L2 blocks: a victim's block address may name
+    # an L2 block no op touched.
+    assert resident_for(pilot, _SYSTEM.l2.geometry, 128) is None
+    stats = predecode.stats_snapshot()
+    assert (stats["l2_resident_ladders"], stats["l2_resident_refusals"]) == (0, 2)
 
 
 def test_disk_round_trip_counts_disk_hits(trace, tmp_path):
