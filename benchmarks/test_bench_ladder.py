@@ -12,10 +12,14 @@ Like the replay benchmarks, the trace length is fixed (not
 ``REPRO_BENCH_INSTRUCTIONS``) so the measured loop is the same workload
 everywhere; both modes are gated individually by the committed baseline
 means, and ``test_fused_ladder_speedup`` asserts the ISSUE-5 acceptance
-floor of >=1.5x at K=8 (the fused pass measures 2.9-3.1x on a 2-vCPU
-shared VM, where its rungs resolve the L2 from first-touch bits; the
-dict-L2 folds measured 1.9-2.0x there; the floor is deliberately loose for
-noisy CI runners).
+floor of >=1.5x at K=8 (the fused pass measures 36-44x best-of-three on a
+2-vCPU shared VM: its rungs resolve the variant L1 from the per-trace LRU
+stack pass and the L2 from first-touch counts, and repeats after the first
+reuse the trace's decode, pilot and stack memos, so each rung costs only
+its set-up and per-interval lookups; a cold first pass measures 2.8-3.3x
+there; the per-rung L1 loops measured 2.9-3.6x best-of-three and the
+dict-L2 folds 1.9-2.0x; the floor is deliberately loose for noisy CI
+runners).
 The speedup is worthless if the paths diverge, so every measurement also
 asserts rung-for-rung ``to_dict()`` equality.
 """

@@ -726,8 +726,8 @@ def transport_stats_line(runner: SweepRunner) -> str:
 
     Parent-side counters (segments published, trace bytes pickled, dedup
     hits) come straight off the runner; the per-process counters — decode
-    and pilot memo hits, L2-resident gate outcomes, shared-memory attaches,
-    trace-memo reads — come from
+    and pilot memo hits, L2-resident gate outcomes, stack passes and the
+    rungs they serve, shared-memory attaches, trace-memo reads — come from
     :attr:`~repro.sim.runner.SweepRunner.worker_stats`, which aggregates
     the per-job deltas reported by whichever process executed each job
     (the workers under ``--jobs N``, this process for inline execution).
@@ -747,7 +747,10 @@ def transport_stats_line(runner: SweepRunner) -> str:
         f"{worker.get('pilot_builds', 0)} pilot build(s), "
         f"{worker.get('pilot_memo_hits', 0)} pilot memo hit(s), "
         f"{worker.get('l2_resident_ladders', 0)} L2-resident ladder(s), "
-        f"{worker.get('l2_resident_refusals', 0)} L2-resident refusal(s)"
+        f"{worker.get('l2_resident_refusals', 0)} L2-resident refusal(s), "
+        f"{worker.get('stack_passes', 0)} stack pass(es), "
+        f"{worker.get('stack_memo_hits', 0)} stack memo hit(s), "
+        f"{worker.get('stack_rungs', 0)} stack rung(s)"
     )
 
 

@@ -181,9 +181,10 @@ class Cache:
         """The per-set packed dicts, built on first use.
 
         Caches that are never driven (a fused ladder's idle invariant-side
-        copies and L2-resident rungs' L2s) never allocate them.  The
-        attribute is always set in ``__init__`` (None until built), which
-        keeps every attribute load in :meth:`access_packed` specialisable.
+        copies, and stack-resolved rungs' L2s and variant L1s) never
+        allocate them.  The attribute is always set in ``__init__`` (None
+        until built), which keeps every attribute load in
+        :meth:`access_packed` specialisable.
         """
         set_blocks = self._set_blocks
         if set_blocks is None:
@@ -302,7 +303,7 @@ class Cache:
         """Invalidate the whole cache; returns addresses of dirty blocks written back."""
         dirty_addresses: List[int] = []
         stats = self.stats
-        for blocks in self._sets():
+        for blocks in self._set_blocks or ():
             for packed in blocks.values():
                 stats.invalidations += 1
                 if packed & 1:
@@ -329,7 +330,7 @@ class Cache:
 
     def resident_blocks(self) -> int:
         """Total number of valid blocks currently resident."""
-        return sum(len(blocks) for blocks in self._sets())
+        return sum(len(blocks) for blocks in self._set_blocks or ())
 
     def reset_stats(self) -> None:
         """Zero all counters without touching cache contents."""

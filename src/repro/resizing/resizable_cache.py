@@ -27,7 +27,7 @@ exactly the cost this kernel exists to remove.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro.cache.cache import (
     PACKED_FILLED,
@@ -105,7 +105,8 @@ class ResizableCache:
         self.name = name
         self.replacement = ReplacementPolicy.parse(replacement)
         self._selector = make_selector(self.replacement, seed=selector_seed(name))
-        self._set_blocks = [{} for _ in range(geometry.num_sets)]
+        # Per-set packed dicts, built on first use (see Cache._sets).
+        self._set_blocks: Optional[List[dict]] = None
         self._subarray_map = SubarrayMap(geometry)
         self.way_mask = WayMask(geometry.associativity)
         self.set_mask = SetMask(
@@ -123,6 +124,18 @@ class ResizableCache:
         self._random_victims = self.replacement is ReplacementPolicy.RANDOM
         self._refresh_kernel_locals()
 
+    def _sets(self) -> List[dict]:
+        """The per-set packed dicts, built on first use (as :meth:`Cache._sets`).
+
+        A stack-resolved fused-ladder rung never drives its variant L1, so
+        it never allocates them; every other method treats unbuilt storage
+        as an empty cache.
+        """
+        set_blocks = self._set_blocks
+        if set_blocks is None:
+            self._set_blocks = set_blocks = [{} for _ in range(self.geometry.num_sets)]
+        return set_blocks
+
     def _refresh_kernel_locals(self) -> None:
         """Re-derive the shift/mask/capacity locals from the current config."""
         self._offset_bits, self._index_bits, self._set_mask_bits = self._mapper.shift_mask()
@@ -136,7 +149,7 @@ class ResizableCache:
         so the dispatch loops re-fetch this every interval.
         """
         return (
-            self.stats, self._set_blocks, self._offset_bits, self._index_bits,
+            self.stats, self._sets(), self._offset_bits, self._index_bits,
             self._set_mask_bits, self._ways, self._refresh_on_hit,
             self._random_victims, self._selector,
         )
@@ -156,9 +169,12 @@ class ResizableCache:
         else:
             stats.reads += 1
 
+        set_blocks = self._set_blocks
+        if set_blocks is None:
+            set_blocks = self._sets()
         block = address >> self._offset_bits
         tag = block >> self._index_bits
-        blocks = self._set_blocks[block & self._set_mask_bits]
+        blocks = set_blocks[block & self._set_mask_bits]
         packed = blocks.get(tag)
         if packed is not None:
             stats.hits += 1
@@ -202,14 +218,17 @@ class ResizableCache:
 
     def probe(self, address: int) -> bool:
         """Return True when ``address`` is resident, without updating LRU state."""
+        set_blocks = self._set_blocks
+        if set_blocks is None:
+            return False
         tag, index = self._mapper.split(address)
-        return tag in self._set_blocks[index]
+        return tag in set_blocks[index]
 
     def flush_all(self) -> List[int]:
         """Invalidate every enabled block; returns dirty block addresses."""
         dirty: List[int] = []
         stats = self.stats
-        for blocks in self._set_blocks:
+        for blocks in self._set_blocks or ():
             if not blocks:
                 continue
             for packed in blocks.values():
@@ -238,8 +257,9 @@ class ResizableCache:
         old_sets = previous.sets
         new_sets = target.sets
 
-        set_blocks = self._set_blocks
-        if new_sets < old_sets:
+        # Unbuilt set storage is an empty cache: nothing to flush.
+        set_blocks = self._set_blocks or ()
+        if set_blocks and new_sets < old_sets:
             # Disabling sets: every block in a disabled set leaves the cache.
             for index in range(new_sets, old_sets):
                 blocks = set_blocks[index]
@@ -251,7 +271,7 @@ class ResizableCache:
                     else:
                         discarded += 1
                 blocks.clear()
-        elif new_sets > old_sets:
+        elif set_blocks and new_sets > old_sets:
             # Enabling sets: blocks whose index changes under the wider index
             # field would become unreachable, so they are flushed.
             new_mapper = AddressMapper(self.geometry.block_bytes, new_sets)
@@ -335,7 +355,7 @@ class ResizableCache:
 
     def resident_blocks(self) -> int:
         """Total number of valid blocks currently resident."""
-        return sum(len(blocks) for blocks in self._set_blocks)
+        return sum(len(blocks) for blocks in self._set_blocks or ())
 
     def reset_stats(self) -> None:
         """Zero all access and resize counters without touching contents."""

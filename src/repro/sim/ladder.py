@@ -50,21 +50,29 @@ fused pass therefore drives the first context's copy of that cache (the
   does depend on that rung's L2 contents.
 
 Per-rung work then shrinks to: variant-L1 kernel accesses, plus L2/memory
-fills for the (rare) invariant-side misses and the variant side's misses.
+fills for the (rare) invariant-side misses and the variant side's misses
+— and, for stack-resolved rungs (below), to per-interval lookups.
 
-**L2-resident rungs.**  When no L2 set receives more distinct L2 blocks
-over the pilot-reduced stream than it has ways
+**Stack-resolved rungs.**  When no L2 set receives more distinct L2
+blocks over the pilot-reduced stream than it has ways
 (:func:`repro.sim.predecode.resident_for` checks this once per trace,
 pilot side and L2 geometry), no rung's L2 can ever evict.  Every block an
 L2 sees is the L2 block of an op in that stream, and the first op to
 touch a block is a compulsory L1 miss in every rung, so an L2 read hits
-exactly when the op does not carry the stream's first-touch bit, every
-dirty-L1-victim spill is a write hit and memory sees one read per first
-touch — whatever a rung's L1 does.  Rungs that start cold and cannot
-resize mid-run (no strategy or :class:`StaticResizing`) over a stock L2
-and memory then run ``_fold_resident_d`` / ``_fold_resident_i``: the
-variant L1 inline plus counter bumps, with no L2 dict work.  Dynamic
-rungs, sampled walks and gate refusals keep the dict-L2 folds.  Everything
+exactly when the op is not its block's first touch, every dirty-L1-victim
+spill is a write hit and memory sees one read per first touch — whatever
+a rung's L1 does.  The variant L1 of a cold LRU rung is just as shared:
+LRU stack inclusion (Mattson et al., 1970) means one MRU-first stack pass
+per set count (:func:`repro.sim.predecode.stack_for`, memoized per trace,
+side, block size and set count, so every rung and every ladder of the
+trace at that set count share it) decides every associativity's hits,
+write misses and dirty victims at once.  Rungs whose L2 and LRU variant
+L1 hold no blocks, over a stock L2 and memory, and that cannot resize
+mid-run (no strategy or :class:`StaticResizing`) then run
+``_fold_stack_d`` / ``_fold_stack_i``: no per-op work at all, only
+per-interval table lookups, counter bumps and the rung's own dirty-victim
+pushes into its write-back buffer.  Dynamic rungs, sampled walks, non-LRU
+variants and gate refusals keep the dict-L2 pilot folds.  Everything
 configuration-*dependent* — cache contents, resize decisions, flush
 writebacks, energy, cycles — stays in per-rung state, which is why every
 rung's :class:`~repro.sim.results.SimulationResult` is **bit-identical**
@@ -81,10 +89,10 @@ introspecting ``hierarchy.miss_ratios()`` on a non-pilot context after a
 fused replay would show an idle invariant side.  When the memoized pilot
 pre-screen applies (:func:`repro.sim.predecode.pilot_for` — exhaustive
 replay, fresh fixed pilot), rung 0's copy joins them: the reduced stream
-comes from the memo and no live pilot is driven at all.  An L2-resident
-rung's L2 likewise holds no blocks after the replay (its stats, the memory
-counters and the write-back buffer are exact).  Idle caches never build
-their set storage.
+comes from the memo and no live pilot is driven at all.  A stack-resolved
+rung's L2 and variant L1 likewise hold no blocks after the replay (their
+stats, the memory counters and the write-back buffer are exact).  Idle
+caches never build their set storage.
 
 Exhaustive fused replays additionally consume the whole-trace pre-decode
 memo (:func:`repro.sim.predecode.decoded_for`): the decode/predict phase
@@ -96,11 +104,13 @@ bit-identical to the scalar path by the same suites.
 
 Amortization: a per-config ladder costs ``K × (set-up + slice + decode +
 predict + full dispatch + close)``; the fused pass costs ``slice + decode
-+ predict + pilot + gate + K × (set-up + reduced dispatch + close)``,
-where a resident rung's reduced dispatch is its variant L1 alone and its
-set-up builds no L2 or invariant-L1 sets.  The shared side is roughly
-the price of one replay, so the win grows with K (the job layer fuses
-only the rungs the job cache cannot already serve — see
++ predict + pilot + gate + S × stack pass + K × (set-up + fold + close)``,
+where ``S`` is the number of distinct set counts among the rungs (passes
+the per-trace memo already holds cost nothing), a stack-resolved rung's
+fold is O(intervals) lookups plus its own dirty-victim pushes, and its
+set-up builds no cache sets at all.  The shared side is roughly the price
+of one replay, so the win grows with K (the job layer fuses only the
+rungs the job cache cannot already serve — see
 :meth:`repro.sim.runner.SweepRunner.submit_ladder`).
 
 :func:`run_fused` is the entry point: it builds one context per
@@ -114,6 +124,7 @@ flag selects; the CLI exposes it through ``--ladder-mode`` instead.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import List, Optional, Sequence, Tuple
 
 from repro.cache.cache import (
@@ -127,7 +138,9 @@ from repro.cache.hierarchy import (
     HIER_L2_ACCESSES_SHIFT,
     HIER_MEM_ACCESSES_SHIFT,
 )
+from repro.cache.replacement import ReplacementPolicy
 from repro.common.errors import SimulationError
+from repro.resizing.resizable_cache import ResizableCache
 from repro.resizing.static_strategy import StaticResizing
 from repro.sim.engine import (
     _OP_FETCH,
@@ -135,7 +148,7 @@ from repro.sim.engine import (
     decode_interval,
     dispatch_cache_ops_fast,
 )
-from repro.sim.predecode import OP_FIRST_TOUCH, decoded_for, pilot_for, resident_for
+from repro.sim.predecode import decoded_for, pilot_for, resident_for, stack_for
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import L1Setup, ReplayContext, Simulator
 from repro.workloads.trace import Trace
@@ -181,74 +194,96 @@ class LadderEngine:
         # Pilot-resolve whichever L1 side is fixed in every rung (a fixed
         # cache's behaviour is shared by construction — see the module
         # docstring).  A d-cache ladder pilots the L1i and vice versa; a
-        # ladder that resizes both sides in some rung gets the general
-        # mode, which re-dispatches the full shared stream per rung.
-        # Every mode is expressed as a resolve function plus per-rung
-        # (context, fold, on-resident-stream, aux, kernel_a, kernel_b)
-        # tuples driven by one shared interval walk, so the interval
-        # semantics — partial final chunk, ``total_seen`` threading,
-        # per-rung close ordering — exist exactly once.
+        # ladder that resizes both sides in some rung, or whose varied L1
+        # lacks the hoistable kernel state, gets the general mode, which
+        # re-dispatches the full shared stream per rung.  Every mode is
+        # expressed as a resolve function plus per-rung (context, fold,
+        # on-stack, aux, kernel_a, kernel_b) tuples driven by one shared
+        # interval walk, so the interval semantics — partial final chunk,
+        # ``total_seen`` threading, per-rung close ordering — exist
+        # exactly once.
         hierarchy = first.hierarchy
+        side = None
         if all(not ctx.i_runtime.is_resizable for ctx in contexts):
             side = "i"
-            pilot_cache = hierarchy.l1i
-            pilot = hierarchy._l1i_packed
-            resolve = lambda ops: _resolve_pilot_i(ops, pilot)  # noqa: E731
-            resident_fold = _fold_resident_d
-            rungs = [
-                (ctx, _fold_pilot_i, False, ctx.hierarchy, ctx.hierarchy._l1d_packed,
-                 ctx.hierarchy._miss_packed)
-                for ctx in contexts
-            ]
         elif all(not ctx.d_runtime.is_resizable for ctx in contexts):
             side = "d"
-            pilot_cache = hierarchy.l1d
-            pilot = hierarchy._l1d_packed
-            resolve = lambda ops: _resolve_pilot_d(ops, pilot)  # noqa: E731
-            resident_fold = _fold_resident_i
-            rungs = [
-                (ctx, _fold_pilot_d, False, ctx.hierarchy, ctx.hierarchy._l1i_packed,
-                 ctx.hierarchy._miss_packed)
-                for ctx in contexts
-            ]
-        else:
+        if side is not None and not all(
+            hasattr(_variant_l1(ctx, side), "_kernel_state") for ctx in contexts
+        ):
             side = None
+        if side is None:
             pilot_cache = None
             resolve = _resolve_general
             rungs = [(ctx, _fold_general, False, ctx.hierarchy, None, None) for ctx in contexts]
+        else:
+            if side == "i":
+                pilot_cache, pilot = hierarchy.l1i, hierarchy._l1i_packed
+                resolve_pilot, fold, stack_fold = _resolve_pilot_i, _fold_pilot_i, _fold_stack_d
+            else:
+                pilot_cache, pilot = hierarchy.l1d, hierarchy._l1d_packed
+                resolve_pilot, fold, stack_fold = _resolve_pilot_d, _fold_pilot_d, _fold_stack_i
+            resolve = lambda ops: resolve_pilot(ops, pilot)  # noqa: E731
+            rungs = [
+                (ctx, fold, False, ctx.hierarchy, None, ctx.hierarchy._miss_packed)
+                for ctx in contexts
+            ]
         plan = first.sampling_plan(len(trace))
         if plan is None:
             # Exhaustive replay: try the memoized whole-trace pre-decode
             # (and, for pilot modes, the memoized pilot pre-screen — valid
             # because the pilot is the fixed full-size L1, identical in
-            # every rung and every run of this trace), then the L2-resident
-            # gate, which moves every qualifying rung onto the first-touch
-            # fold.  Gate refusals fall back bit-identically.
+            # every rung and every run of this trace), then the stack gate,
+            # which moves every qualifying rung onto the stack fold.  Gate
+            # refusals fall back bit-identically.
             decoded = decoded_for(trace, first.block_mask, first.predictor)
             if decoded is not None:
-                pilot_res = resident = None
+                pilot_res = first_touch = None
                 if side is not None:
                     pilot_res = pilot_for(trace, decoded, side, pilot_cache)
                 if pilot_res is not None:
                     config = hierarchy.config
-                    qualified = [
-                        k for k, rung in enumerate(rungs)
-                        if _l2_resident_rung(rung[0], side, config)
+                    stacked = [
+                        k for k, rung in enumerate(rungs) if _stack_rung(rung[0], side, config)
                     ]
-                    if qualified:
-                        resident = resident_for(
+                    if stacked:
+                        first_touch = resident_for(
                             pilot_res, config.l2.geometry,
                             max(config.l1i.block_bytes, config.l1d.block_bytes),
                         )
-                    if resident is not None:
-                        for k in qualified:
-                            ctx = rungs[k][0]
-                            rungs[k] = (ctx, resident_fold, True, ctx.hierarchy, None, None)
-                self._walk_decoded(first, rungs, resolve, decoded, pilot_res, resident)
+                    if first_touch is not None:
+                        self._stack_rungs(trace, decoded, side, rungs, stacked, stack_fold)
+                self._walk_decoded(first, rungs, resolve, decoded, pilot_res, first_touch)
                 return
         self._walk_intervals(trace, first, rungs, resolve, plan)
 
-    def _walk_decoded(self, first, rungs, resolve, decoded, pilot_res, resident) -> None:
+    @staticmethod
+    def _stack_rungs(trace, decoded, side, rungs, stacked, fold) -> None:
+        """Move the ``stacked`` rungs onto ``fold``, one stack pass per set count.
+
+        :func:`repro.sim.predecode.stack_for` memoizes each pass per trace
+        for later ladders.
+        """
+        variant_side = "d" if side == "i" else "i"
+        groups = {}
+        for k in stacked:
+            variant = _variant_l1(rungs[k][0], side)
+            key = (variant.geometry.block_bytes, variant.num_sets)
+            groups.setdefault(key, []).append((k, variant))
+        interval = rungs[0][0].interval_instructions
+        for (block_bytes, sets), members in groups.items():
+            widths = sorted({variant.associativity for _, variant in members})
+            widest = max(variant.geometry.capacity_bytes for _, variant in members) // (
+                block_bytes * sets
+            )
+            table = stack_for(
+                trace, decoded, variant_side, block_bytes, sets, widths, widest, len(members)
+            ).table(decoded, interval)
+            for k, variant in members:
+                ctx = rungs[k][0]
+                rungs[k] = (ctx, fold, True, ctx.hierarchy, table, variant.associativity)
+
+    def _walk_decoded(self, first, rungs, resolve, decoded, pilot_res, first_touch) -> None:
         """The exhaustive interval walk over memoized pre-decoded streams.
 
         Interval totals come from the decode's per-row prefix arrays; the
@@ -256,10 +291,12 @@ class LadderEngine:
         in hand the pilot pre-screen is skipped too — the reduced stream
         and the shared hit/miss totals are sliced from the memo, and the
         live pilot cache is never driven (rung 0 joins the documented
-        idle-invariant-side caveat); rungs on the resident stream get
-        ``resident`` (the first-touch-annotated copy, same entry offsets)
-        instead.  Without one (gate refusal), the shared ``resolve`` runs
-        per interval exactly as the scalar walk would run it.
+        idle-invariant-side caveat).  Rungs on the stack fold get, instead
+        of a stream, the interval's ``(index, i_first, d_first,
+        pilot_victims)``: its first-touch counts from ``first_touch`` and,
+        for an i-cache ladder, the pilot L1d's dirty victims.  Without a
+        pilot resolution (gate refusal), the shared ``resolve`` runs per
+        interval exactly as the scalar walk would run it.
         """
         n = decoded.n
         interval_instructions = first.interval_instructions
@@ -270,10 +307,15 @@ class LadderEngine:
         memref_prefix = decoded.memref_prefix
         store_prefix = decoded.store_prefix
         side = None if pilot_res is None else pilot_res.side
-        annotated = None
+        span = None
+        if first_touch is not None:
+            i_touches, d_touches = first_touch
+            entry_prefix = pilot_res.entry_prefix
+            pilot_victims = pilot_res.victims or ()
 
         total_seen = 0
         position = 0
+        index = 0
         while position < n:
             stop = position + interval_instructions
             if stop > n:
@@ -288,32 +330,36 @@ class LadderEngine:
                 reduced, shared = resolve(interval_ops(position, stop))
             else:
                 reduced = pilot_res.interval_entries(position, stop)
-                if resident is not None:
-                    entry_prefix = pilot_res.entry_prefix
-                    annotated = resident[entry_prefix[position]:entry_prefix[stop]]
                 misses = pilot_res.miss_prefix[stop] - pilot_res.miss_prefix[position]
                 if side == "i":
                     fetches = (op_prefix[stop] - op_prefix[position]) - memory_refs
                     shared = (fetches, misses)
                 else:
-                    writebacks = (
-                        pilot_res.wb_prefix[stop] - pilot_res.wb_prefix[position]
-                    )
+                    wb_prefix = pilot_res.wb_prefix
+                    writebacks = wb_prefix[stop] - wb_prefix[position]
                     shared = (misses, writebacks)
+                if first_touch is not None:
+                    low, high = entry_prefix[position], entry_prefix[stop]
+                    span = (
+                        index,
+                        bisect_left(i_touches, high) - bisect_left(i_touches, low),
+                        bisect_left(d_touches, high) - bisect_left(d_touches, low),
+                        pilot_victims[wb_prefix[position]:wb_prefix[stop]] if side == "d" else (),
+                    )
 
             total_seen += chunk
             position = stop
+            index += 1
             close = chunk == interval_instructions
 
-            for ctx, fold, on_resident, aux, kernel_a, kernel_b in rungs:
+            for ctx, fold, on_stack, aux, kernel_a, kernel_b in rungs:
                 counts = ctx.counts
                 counts.instructions += chunk
                 counts.branches += branches
                 counts.branch_mispredicts += branch_mispredicts
                 counts.l1d_accesses += memory_refs
                 counts.l1d_stores += stores
-                fold(counts, annotated if on_resident else reduced, shared,
-                     aux, kernel_a, kernel_b)
+                fold(counts, span if on_stack else reduced, shared, aux, kernel_a, kernel_b)
                 if close:
                     ctx.total_seen = total_seen
                     ctx.close_interval()
@@ -329,10 +375,10 @@ class LadderEngine:
         the first context's predictor), ``resolve`` the stream once for
         all rungs (pilot modes shrink it; the general mode passes it
         through), then fold it into each rung's counts and close that
-        rung's interval.  ``rungs`` are ``(context, fold, on_resident, aux,
+        rung's interval.  ``rungs`` are ``(context, fold, on_stack, aux,
         kernel_a, kernel_b)`` tuples whose aux/kernel meaning is
-        fold-specific, built in :meth:`replay_many` (``on_resident`` is
-        only ever set for the decoded walk).
+        fold-specific, built in :meth:`replay_many` (``on_stack`` is only
+        ever set for the decoded walk).
         """
         interval_instructions = first.interval_instructions
         block_mask = first.block_mask
@@ -415,27 +461,20 @@ def _fold_general(counts, ops, shared, hierarchy, kernel_a, kernel_b):
     counts.memory_accesses += memory_accesses
 
 
-def _fold_pilot_i(counts, reduced, shared, hierarchy, l1d_kernel, miss_fill):
+def _fold_pilot_i(counts, reduced, shared, hierarchy, _kernel_a, miss_fill):
     """Fold one rung's interval when the L1i was pilot-resolved."""
     fetches, i_misses = shared
     counts.l1i_accesses += fetches
     counts.l1i_misses += i_misses
-    state = getattr(hierarchy.l1d, "_kernel_state", None)
-    if state is not None:
-        l2_state = getattr(hierarchy.l2, "_kernel_state", None)
-        (
-            l1i_memory, l1d_misses, l1d_memory, l1d_writebacks,
-            l2_accesses, memory_accesses,
-        ) = _dispatch_variant_d_fast(
-            reduced, state(), miss_fill,
-            l2_state() if l2_state is not None else None,
-            hierarchy._memory_state() if l2_state is not None else None,
-        )
-    else:
-        (
-            l1i_memory, l1d_misses, l1d_memory, l1d_writebacks,
-            l2_accesses, memory_accesses,
-        ) = _dispatch_variant_d(reduced, l1d_kernel, miss_fill)
+    l2_state = getattr(hierarchy.l2, "_kernel_state", None)
+    (
+        l1i_memory, l1d_misses, l1d_memory, l1d_writebacks,
+        l2_accesses, memory_accesses,
+    ) = _dispatch_variant_d_fast(
+        reduced, hierarchy.l1d._kernel_state(), miss_fill,
+        l2_state() if l2_state is not None else None,
+        hierarchy._memory_state() if l2_state is not None else None,
+    )
     counts.l1i_memory_accesses += l1i_memory
     counts.l1d_misses += l1d_misses
     counts.l1d_memory_accesses += l1d_memory
@@ -444,27 +483,20 @@ def _fold_pilot_i(counts, reduced, shared, hierarchy, l1d_kernel, miss_fill):
     counts.memory_accesses += memory_accesses
 
 
-def _fold_pilot_d(counts, reduced, shared, hierarchy, l1i_kernel, miss_fill):
+def _fold_pilot_d(counts, reduced, shared, hierarchy, _kernel_a, miss_fill):
     """Fold one rung's interval when the L1d was pilot-resolved."""
     d_misses, d_writebacks = shared
     counts.l1d_misses += d_misses
     counts.l1d_writebacks += d_writebacks
-    state = getattr(hierarchy.l1i, "_kernel_state", None)
-    if state is not None:
-        l2_state = getattr(hierarchy.l2, "_kernel_state", None)
-        (
-            l1i_accesses, l1i_misses, l1i_memory, l1d_memory,
-            l2_accesses, memory_accesses,
-        ) = _dispatch_variant_i_fast(
-            reduced, state(), miss_fill,
-            l2_state() if l2_state is not None else None,
-            hierarchy._memory_state() if l2_state is not None else None,
-        )
-    else:
-        (
-            l1i_accesses, l1i_misses, l1i_memory, l1d_memory,
-            l2_accesses, memory_accesses,
-        ) = _dispatch_variant_i(reduced, l1i_kernel, miss_fill)
+    l2_state = getattr(hierarchy.l2, "_kernel_state", None)
+    (
+        l1i_accesses, l1i_misses, l1i_memory, l1d_memory,
+        l2_accesses, memory_accesses,
+    ) = _dispatch_variant_i_fast(
+        reduced, hierarchy.l1i._kernel_state(), miss_fill,
+        l2_state() if l2_state is not None else None,
+        hierarchy._memory_state() if l2_state is not None else None,
+    )
     counts.l1i_accesses += l1i_accesses
     counts.l1i_misses += l1i_misses
     counts.l1i_memory_accesses += l1i_memory
@@ -539,51 +571,13 @@ def _resolve_pilot_d(ops, l1d_kernel):
     return reduced, (d_misses, d_writebacks)
 
 
-def _dispatch_variant_d(reduced, l1d_kernel, miss_fill):
+def _dispatch_variant_d_fast(reduced, kernel_state, miss_fill, l2_state=None, mem_state=None):
     """Per-rung dispatch when the L1i was pilot-resolved (d-cache ladder).
 
-    Drives the rung's (variant) L1d kernel for every load/store and its
-    ``_miss_packed`` fill path for both d-misses and the pre-resolved
-    i-misses.  Returns ``(l1i_memory, l1d_misses, l1d_memory,
-    l1d_writebacks, l2_accesses, memory_accesses)``.
-    """
-    l2a_shift, mem_shift = HIER_L2_ACCESSES_SHIFT, HIER_MEM_ACCESSES_SHIFT
-    count_mask = HIER_COUNT_MASK
-    op_imiss = _OP_IMISS
-    op_load = _OP_LOAD
-    l1i_memory = 0
-    l1d_misses = 0
-    l1d_memory = 0
-    l1d_writebacks = 0
-    l2_accesses = 0
-    memory_accesses = 0
-    stream = iter(reduced)
-    for code in stream:
-        operand = next(stream)
-        if code == op_imiss:
-            packed = miss_fill(0, operand)
-            l2_accesses += (packed >> l2a_shift) & count_mask
-            transfers = (packed >> mem_shift) & count_mask
-            memory_accesses += transfers
-            l1i_memory += transfers
-        else:
-            l1_packed = l1d_kernel(operand, code != op_load)
-            if not l1_packed & 1:
-                packed = miss_fill(l1_packed, operand)
-                l1d_misses += 1
-                fills = (packed >> l2a_shift) & count_mask
-                l2_accesses += fills
-                transfers = (packed >> mem_shift) & count_mask
-                memory_accesses += transfers
-                l1d_memory += transfers
-                if fills > 1:
-                    l1d_writebacks += fills - 1
-    return l1i_memory, l1d_misses, l1d_memory, l1d_writebacks, l2_accesses, memory_accesses
-
-
-def _dispatch_variant_d_fast(reduced, kernel_state, miss_fill, l2_state=None, mem_state=None):
-    """:func:`_dispatch_variant_d` with the variant L1d's hit path inline.
-
+    Runs the rung's variant L1d inline for every load/store and its
+    ``_miss_packed`` fill path (or the inline L2 below) for both d-misses
+    and the pre-resolved i-misses.  Returns ``(l1i_memory, l1d_misses,
+    l1d_memory, l1d_writebacks, l2_accesses, memory_accesses)``.
     ``kernel_state`` is the variant cache's hoisted
     :meth:`~repro.cache.cache.Cache._kernel_state` tuple, fetched fresh by
     the fold each interval (resizes land exactly at interval boundaries).
@@ -807,52 +801,14 @@ def _dispatch_variant_d_fast(reduced, kernel_state, miss_fill, l2_state=None, me
     return l1i_memory, l1d_misses, l1d_memory, l1d_writebacks, l2_accesses, memory_accesses
 
 
-def _dispatch_variant_i(reduced, l1i_kernel, miss_fill):
+def _dispatch_variant_i_fast(reduced, kernel_state, miss_fill, l2_state=None, mem_state=None):
     """Per-rung dispatch when the L1d was pilot-resolved (i-cache ladder).
 
-    Drives the rung's (variant) L1i kernel for every fetch op and its
-    ``_miss_packed`` fill path for both i-misses and the pre-resolved
-    d-misses (whose shared victim-writeback outcome rides in the stream).
+    Runs the rung's variant L1i inline for every fetch op; the pre-resolved
+    d-misses carry their shared victim-writeback outcome in the stream.
     Returns ``(l1i_accesses, l1i_misses, l1i_memory, l1d_memory,
-    l2_accesses, memory_accesses)``.
-    """
-    l2a_shift, mem_shift = HIER_L2_ACCESSES_SHIFT, HIER_MEM_ACCESSES_SHIFT
-    count_mask = HIER_COUNT_MASK
-    op_fetch = _OP_FETCH
-    l1i_accesses = 0
-    l1i_misses = 0
-    l1i_memory = 0
-    l1d_memory = 0
-    l2_accesses = 0
-    memory_accesses = 0
-    stream = iter(reduced)
-    for code in stream:
-        operand = next(stream)
-        if code == op_fetch:
-            l1_packed = l1i_kernel(operand, False)
-            l1i_accesses += 1
-            if not l1_packed & 1:
-                packed = miss_fill(l1_packed, operand)
-                l1i_misses += 1
-                l2_accesses += (packed >> l2a_shift) & count_mask
-                transfers = (packed >> mem_shift) & count_mask
-                memory_accesses += transfers
-                l1i_memory += transfers
-        else:
-            l1_packed = next(stream)
-            packed = miss_fill(l1_packed, operand)
-            fills = (packed >> l2a_shift) & count_mask
-            l2_accesses += fills
-            transfers = (packed >> mem_shift) & count_mask
-            memory_accesses += transfers
-            l1d_memory += transfers
-    return l1i_accesses, l1i_misses, l1i_memory, l1d_memory, l2_accesses, memory_accesses
-
-
-def _dispatch_variant_i_fast(reduced, kernel_state, miss_fill, l2_state=None, mem_state=None):
-    """:func:`_dispatch_variant_i` with the variant L1i's hit path inline.
-
-    Same contract as :func:`_dispatch_variant_d_fast`: hoisted kernel
+    l2_accesses, memory_accesses)``.  Same contract as
+    :func:`_dispatch_variant_d_fast`: hoisted kernel
     state, inline ``access_packed`` body (the L1i is read-only, so the hit
     path is just the probe plus LRU refresh and fills are never dirty),
     the full inline L2 access — hit probe, and with ``mem_state`` the
@@ -1095,70 +1051,42 @@ def _flush_l2(l2_stats, mem_state, read_hits, read_misses, write_hits, write_mis
         wb_buffer.drained += overflows
 
 
-def _fold_resident_d(counts, stream, shared, hierarchy, _kernel_a, _kernel_b):
-    """:func:`_fold_pilot_i` for an L2-resident rung (d-cache ladder).
+def _push_victims(buffer, victims) -> int:
+    """Push ``victims`` in order into a write-back buffer; returns the overflows.
 
-    ``stream`` is the first-touch-annotated reduced stream.  The variant
-    L1d runs inline as in :func:`_dispatch_variant_d_fast`; the L2 is never
-    touched: a read hits unless the op carries the first-touch bit (then
-    memory supplies the block), and a dirty L1d victim goes through the
-    write-back buffer into an L2 write hit.
+    Equal to one :meth:`~repro.cache.writeback_buffer.WritebackBuffer.push`
+    per victim: the buffer keeps the newest ``num_entries`` and each push
+    past that drains the oldest (counters are flushed by the caller).
     """
-    fetches, i_misses = shared
-    (d_stats, d_sets, d_off, d_idx, d_mask, d_ways, d_refresh, d_random, d_selector) = (
-        hierarchy.l1d._kernel_state()
-    )
-    wb_pending = hierarchy.writeback_buffer._pending
-    wb_entries = hierarchy.writeback_buffer.num_entries
-    first_touch = OP_FIRST_TOUCH
-    d_shift1 = d_off + 1
-    da = dw = dh = dwm = dwb = wb_over = 0
-    i_first = d_first = 0
-    stream = iter(stream)
-    for code in stream:
-        operand = next(stream)
-        if (code & 3) == 3:  # a pre-resolved i-miss: its L2 read is in i_misses
-            if code & first_touch:
-                i_first += 1
-            continue
-        is_write = code & 2  # a store
-        da += 1
-        if is_write:
-            dw += 1
-        block = operand >> d_off
-        tag = block >> d_idx
-        blocks = d_sets[block & d_mask]
-        packed = blocks.get(tag)
-        if packed is not None:
-            dh += 1
-            if is_write:
-                packed |= 1
-                if d_refresh:
-                    del blocks[tag]
-                blocks[tag] = packed
-            elif d_refresh:
-                del blocks[tag]
-                blocks[tag] = packed
-            continue
-        if is_write:
-            dwm += 1
-        if code & first_touch:
-            d_first += 1
-        if len(blocks) >= d_ways:
-            victim = blocks.pop(
-                d_selector.choose_victim(blocks) if d_random else next(iter(blocks))
-            )
-            if victim & 1:
-                dwb += 1
-                if len(wb_pending) >= wb_entries:
-                    wb_over += 1
-                    wb_pending.popleft()
-                wb_pending.append(victim >> 1)
-        blocks[tag] = (block << d_shift1) | (1 if is_write else 0)
+    pending = buffer._pending
+    pending.extend(victims)
+    overflows = len(pending) - buffer.num_entries
+    if overflows <= 0:
+        return 0
+    for _ in range(overflows):
+        pending.popleft()
+    return overflows
 
+
+def _fold_stack_d(counts, span, shared, hierarchy, table, ways):
+    """:func:`_fold_pilot_i` for a stack-resolved rung (d-cache ladder).
+
+    No per-op work: the variant L1d's accesses, hits, write misses and
+    dirty victims are lookups in ``table`` (the
+    :class:`~repro.sim.predecode.StackTable` at this rung's set count) at
+    ``ways``; the L2 is a first-touch filter (see the module docstring):
+    a read hits unless it is a first touch (then memory supplies the
+    block), and a dirty L1d victim goes through the write-back buffer into
+    an L2 write hit.
+    """
+    index, i_first, d_first, _ = span
+    fetches, i_misses = shared
+    da, dw, dh, dwm, victims = table.interval(index, ways)
+    dwb = len(victims)
+    wb_over = _push_victims(hierarchy.writeback_buffer, victims)
     dm = da - dh
     first = i_first + d_first
-    _flush_l1(d_stats, da, dw, dh, dwm, dwb)
+    _flush_l1(hierarchy.l1d.stats, da, dw, dh, dwm, dwb)
     _flush_l2(hierarchy.l2.stats, hierarchy._memory_state(),
               i_misses + dm - first, first, dwb, 0, 0, dwb, wb_over)
     counts.l1i_accesses += fetches
@@ -1171,57 +1099,20 @@ def _fold_resident_d(counts, stream, shared, hierarchy, _kernel_a, _kernel_b):
     counts.memory_accesses += first
 
 
-def _fold_resident_i(counts, stream, shared, hierarchy, _kernel_a, _kernel_b):
-    """:func:`_fold_pilot_d` for an L2-resident rung (i-cache ladder).
+def _fold_stack_i(counts, span, shared, hierarchy, table, ways):
+    """:func:`_fold_pilot_d` for a stack-resolved rung (i-cache ladder).
 
-    Same rule as :func:`_fold_resident_d`, with the variant L1i inline.
-    Every rung repeats the pre-resolved d-misses' shared dirty-victim
-    pushes; the L1i is never written, so its own victims are clean.
+    Same rule as :func:`_fold_stack_d`, with the variant L1i from the
+    table.  Every rung repeats the pilot L1d's shared dirty-victim pushes;
+    the L1i is never written, so its own victims are clean.
     """
+    index, i_first, d_first, victims = span
     d_misses, d_writebacks = shared
-    (i_stats, i_sets, i_off, i_idx, i_mask, i_ways, i_refresh, i_random, i_selector) = (
-        hierarchy.l1i._kernel_state()
-    )
-    wb_pending = hierarchy.writeback_buffer._pending
-    wb_entries = hierarchy.writeback_buffer.num_entries
-    wb_valid, wb_shift = PACKED_WRITEBACK_VALID, PACKED_WRITEBACK_SHIFT
-    first_touch = OP_FIRST_TOUCH
-    i_shift1 = i_off + 1
-    ia = ih = wb_over = 0
-    i_first = d_first = 0
-    stream = iter(stream)
-    for code in stream:
-        operand = next(stream)
-        if code & 4:  # a pre-resolved d-miss: its L2 read is in d_misses
-            l1_packed = next(stream)
-            if code & first_touch:
-                d_first += 1
-            if l1_packed & wb_valid:
-                if len(wb_pending) >= wb_entries:
-                    wb_over += 1
-                    wb_pending.popleft()
-                wb_pending.append(l1_packed >> wb_shift)
-            continue
-        ia += 1
-        block = operand >> i_off
-        tag = block >> i_idx
-        blocks = i_sets[block & i_mask]
-        packed = blocks.get(tag)
-        if packed is not None:
-            ih += 1
-            if i_refresh:
-                del blocks[tag]
-                blocks[tag] = packed
-            continue
-        if code & first_touch:
-            i_first += 1
-        if len(blocks) >= i_ways:
-            del blocks[i_selector.choose_victim(blocks) if i_random else next(iter(blocks))]
-        blocks[tag] = block << i_shift1
-
+    ia, _, ih, _, _ = table.interval(index, ways)
+    wb_over = _push_victims(hierarchy.writeback_buffer, victims)
     im = ia - ih
     first = i_first + d_first
-    _flush_l1(i_stats, ia, 0, ih, 0, 0)
+    _flush_l1(hierarchy.l1i.stats, ia, 0, ih, 0, 0)
     _flush_l2(hierarchy.l2.stats, hierarchy._memory_state(),
               im + d_misses - first, first, d_writebacks, 0, 0, d_writebacks, wb_over)
     counts.l1d_misses += d_misses
@@ -1234,21 +1125,29 @@ def _fold_resident_i(counts, stream, shared, hierarchy, _kernel_a, _kernel_b):
     counts.memory_accesses += first
 
 
-def _l2_resident_rung(ctx, side, config) -> bool:
-    """Whether the first-touch rule is exact for this rung.
+def _variant_l1(ctx, side):
+    """The L1 a ladder piloting ``side`` varies across its rungs."""
+    return ctx.hierarchy.l1d if side == "i" else ctx.hierarchy.l1i
 
-    It needs the ladder's stock, untouched L2 over stock memory, a cold
-    variant L1 with the inline kernel, and no mid-run resize or flush (no
-    strategy, or :class:`StaticResizing`, whose one resize lands on the
-    empty cache before the run).
+
+def _stack_rung(ctx, side, config) -> bool:
+    """Whether the stack pass and the first-touch rule are exact for this rung.
+
+    It needs the ladder's stock L2 over stock memory, a stock LRU variant
+    L1, both caches holding no blocks — contents, not counters:
+    ``reset_stats`` zeroes counters and keeps blocks — and no mid-run
+    resize or flush (no strategy, or :class:`StaticResizing`, whose one
+    resize lands on the empty cache before the run).
     """
     hierarchy = ctx.hierarchy
     l2 = hierarchy.l2
-    variant = hierarchy.l1d if side == "i" else hierarchy.l1i
+    variant = _variant_l1(ctx, side)
     return (
         hierarchy.config is config and type(l2) is Cache and l2.geometry == config.l2.geometry
-        and l2.stats.accesses == 0 and variant.stats.accesses == 0
-        and hierarchy._memory_state() is not None and hasattr(variant, "_kernel_state")
+        and type(variant) in (Cache, ResizableCache)
+        and variant.replacement is ReplacementPolicy.LRU
+        and not l2.resident_blocks() and not variant.resident_blocks()
+        and hierarchy._memory_state() is not None
         and all(
             runtime.strategy is None or type(runtime.strategy) is StaticResizing
             for runtime in (ctx.d_runtime, ctx.i_runtime)

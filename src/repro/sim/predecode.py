@@ -21,10 +21,16 @@ slice its intervals out of the precomputed stream:
   (trace, side, pilot geometry).
 * The L2-resident gate (:func:`resident_for`) — whether an L2 of a given
   geometry can ever evict under that reduced stream, and if not, the
-  stream annotated with first-touch bits; memoized on the
+  offsets of the ops that first touch an L2 block; memoized on the
   :class:`PilotResolution` per L2 geometry.
+* :class:`StackResolution` — one exact LRU stack pass (Mattson, Gecsei,
+  Slutz & Traiger, IBM Systems Journal 1970) over one L1 side's ops at one
+  set count, which decides hit or miss, write misses and dirty victims for
+  *every* associativity up to its depth at once; memoized per (trace,
+  side, block size, set count) and shared by every static ladder rung of
+  the trace at that set count.
 
-Both memos key off live :class:`~repro.workloads.trace.Trace` objects
+The memos key off live :class:`~repro.workloads.trace.Trace` objects
 (weakly, so traces die normally); :class:`DecodedTrace` additionally
 round-trips through the on-disk trace memo
 (:meth:`repro.sim.tracecache.TraceCache.put_decoded`) keyed by (trace
@@ -50,7 +56,6 @@ Op codes (shared layout with :mod:`repro.sim.engine` /
     2  store   operand = data address
     3  i-miss  operand = pc                     (pilot-reduced streams only)
     4  d-miss  operands = address, l1_packed    (pilot-reduced streams only)
-    +8 first touch of the op's L2 block         (L2-resident streams only)
 """
 
 from __future__ import annotations
@@ -58,9 +63,13 @@ from __future__ import annotations
 import struct
 import weakref
 from array import array
-from typing import Dict, List, Optional
+from bisect import bisect_left
+from collections import Counter
+from itertools import accumulate, compress
+from operator import add
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cache.cache import PACKED_WRITEBACK_VALID, Cache
+from repro.cache.cache import PACKED_WRITEBACK_SHIFT, PACKED_WRITEBACK_VALID, Cache
 from repro.common.counters import CounterRegistry
 from repro.cpu.branch import BimodalBranchPredictor
 from repro.mem.address import AddressMapper
@@ -72,7 +81,6 @@ OP_LOAD = 1
 OP_STORE = 2
 OP_IMISS = 3
 OP_DMISS = 4
-OP_FIRST_TOUCH = 8
 
 #: Bumped whenever the decoded layout or semantics change; part of the
 #: on-disk memo key, so stale entries are simply never found.
@@ -97,12 +105,18 @@ _STATS = CounterRegistry({
     "pilot_memo_hits": 0,
     "l2_resident_ladders": 0,
     "l2_resident_refusals": 0,
+    "stack_passes": 0,
+    "stack_memo_hits": 0,
+    "stack_rungs": 0,
 })
 
 _DECODE_MEMO: "weakref.WeakKeyDictionary[Trace, Dict[int, DecodedTrace]]" = (
     weakref.WeakKeyDictionary()
 )
 _PILOT_MEMO: "weakref.WeakKeyDictionary[Trace, Dict[tuple, PilotResolution]]" = (
+    weakref.WeakKeyDictionary()
+)
+_STACK_MEMO: "weakref.WeakKeyDictionary[Trace, Dict[tuple, StackResolution]]" = (
     weakref.WeakKeyDictionary()
 )
 
@@ -146,6 +160,7 @@ class DecodedTrace:
         "store_prefix",
         "_ops_list",
         "_stream_view",
+        "_side_blocks",
     )
 
     def __init__(self, n, block_mask, stream, op_prefix, branch_prefix,
@@ -160,6 +175,7 @@ class DecodedTrace:
         self.store_prefix = store_prefix
         self._ops_list: Optional[List[int]] = None
         self._stream_view = None
+        self._side_blocks: Dict[tuple, tuple] = {}
 
     def interval_ops(self, start: int, stop: int) -> List[int]:
         """The flat op list for rows ``[start, stop)`` (a fresh, mutable list)."""
@@ -175,6 +191,23 @@ class DecodedTrace:
                     self._stream_view = view = memoryview(self.stream)
                 return view[2 * self.op_prefix[start]:2 * self.op_prefix[stop]].tolist()
         return ops_list[2 * self.op_prefix[start]:2 * self.op_prefix[stop]]
+
+    def side_blocks(self, side: str, offset_bits: int) -> Tuple[List[int], bytes]:
+        """One L1 side's ops as block numbers in stream order, with store flags.
+
+        Side "d" is the loads and stores, side "i" the fetches (never
+        stores).  Memoized per (side, block size) as compact arrays, so every
+        stack pass of the trace shares one extraction; the list is fresh.
+        """
+        found = self._side_blocks.get((side, offset_bits))
+        if found is None:
+            ops = self.interval_ops(0, self.n)
+            keep = [(code == OP_FETCH) == (side == "i") for code in ops[0::2]]
+            found = self._side_blocks[side, offset_bits] = (
+                array("Q", [address >> offset_bits for address in compress(ops[1::2], keep)]),
+                bytes([code == OP_STORE for code in compress(ops[0::2], keep)]),
+            )
+        return found[0].tolist(), found[1]
 
     def to_bytes(self) -> bytes:
         """Serialize for the on-disk trace memo (native byte order)."""
@@ -219,23 +252,122 @@ class PilotResolution:
     packed outcome as a third entry, which is why ``entry_prefix`` counts
     flat *entries*, not pairs).  ``miss_prefix`` carries the shared
     per-row running miss total (i-misses for side "i", d-misses for side
-    "d"); ``wb_prefix`` the shared d-writeback total (side "d" only).
-    ``resident`` memoizes :func:`resident_for` per L2 geometry.
+    "d"); ``wb_prefix`` the shared d-writeback total and ``victims`` those
+    writebacks' block addresses in order (side "d" only).  ``resident``
+    memoizes :func:`resident_for` per L2 geometry.
     """
 
-    __slots__ = ("side", "entries", "entry_prefix", "miss_prefix", "wb_prefix", "resident")
+    __slots__ = ("side", "entries", "entry_prefix", "miss_prefix", "wb_prefix", "victims",
+                 "resident")
 
-    def __init__(self, side, entries, entry_prefix, miss_prefix, wb_prefix):
+    def __init__(self, side, entries, entry_prefix, miss_prefix, wb_prefix, victims=None):
         self.side = side
         self.entries = entries
         self.entry_prefix = entry_prefix
         self.miss_prefix = miss_prefix
         self.wb_prefix = wb_prefix
-        self.resident: Dict[object, Optional[List[int]]] = {}
+        self.victims = victims
+        self.resident: Dict[object, Optional[Tuple[array, array]]] = {}
 
     def interval_entries(self, start: int, stop: int) -> List[int]:
         """The flat reduced-op list for rows ``[start, stop)``."""
         return self.entries[self.entry_prefix[start]:self.entry_prefix[stop]]
+
+
+class StackResolution:
+    """One L1 side's exact LRU stack pass at one set count, for a whole trace.
+
+    Under LRU a set's contents in a ``w``-way cache are the ``w`` most
+    recently used blocks that map to it, so one MRU-first stack per set
+    decides every associativity at once: an op found at stack depth ``d``
+    hits exactly in the rungs with more than ``d`` ways.  Variant-side ops
+    (loads and stores for side "d", fetches for side "i") are indexed in
+    stream order; ``deep_ops`` / ``deep_codes`` record, for each op found
+    below the top of its stack, its index and ``depth << 1 | is_store``
+    (depth ``ways`` is a miss in every rung with at most ``ways`` ways; ops
+    at depth 0 hit in every rung and are not recorded).
+    ``victim_ops[w]`` / ``victim_blocks[w]`` list rung ``w``'s dirty
+    victims in order, as (op index, block-aligned address), for each width
+    in ``widths`` (every width, for side "i", whose victims are never
+    dirty).  The per-interval counts a fold reads come from :meth:`table`.
+    """
+
+    __slots__ = ("side", "ways", "widths", "deep_ops", "deep_codes", "victim_ops",
+                 "victim_blocks", "_tables")
+
+    def __init__(self, side, ways, widths, deep_ops, deep_codes, victim_ops, victim_blocks):
+        self.side = side
+        self.ways = ways
+        self.widths = frozenset(widths)
+        self.deep_ops = deep_ops
+        self.deep_codes = deep_codes
+        self.victim_ops = victim_ops
+        self.victim_blocks = victim_blocks
+        self._tables: Dict[int, StackTable] = {}
+
+    def table(self, decoded: DecodedTrace, interval: int) -> "StackTable":
+        """The per-interval counts for intervals of ``interval`` rows (memoized)."""
+        table = self._tables.get(interval)
+        if table is None:
+            table = self._tables[interval] = StackTable(self, decoded, interval)
+        return table
+
+
+class StackTable:
+    """A :class:`StackResolution` cut at the boundaries of one interval length.
+
+    For boundary ``j`` (row ``min(j * interval, n)``), ``ops[j]`` and
+    ``stores[j]`` count the variant-side ops and stores before it,
+    ``misses[j][w]`` / ``write_misses[j][w]`` those at depth ``w`` or
+    deeper, and ``victim_at[w][j]`` rung ``w``'s dirty victims.
+    """
+
+    __slots__ = ("ops", "stores", "misses", "write_misses", "victim_at", "victim_blocks")
+
+    def __init__(self, stack: StackResolution, decoded: DecodedTrace, interval: int) -> None:
+        n = decoded.n
+        rows = list(range(0, n, interval)) + [n]
+        memrefs = decoded.memref_prefix
+        if stack.side == "d":
+            self.ops = [memrefs[r] for r in rows]
+            self.stores = [decoded.store_prefix[r] for r in rows]
+        else:
+            self.ops = [decoded.op_prefix[r] - memrefs[r] for r in rows]
+            self.stores = [0] * len(rows)
+        histogram = [0] * (2 * stack.ways + 2)  # indexed by depth << 1 | is_store
+        self.misses: List[List[int]] = []
+        self.write_misses: List[List[int]] = []
+        position = 0
+        for op in self.ops:
+            stop = bisect_left(stack.deep_ops, op, position)
+            for code, count in Counter(stack.deep_codes[position:stop]).items():
+                histogram[code] += count
+            position = stop
+            stores = histogram[:0:-2]  # deepest first
+            self.misses.append([*accumulate(map(add, histogram[-2::-2], stores))][::-1])
+            self.write_misses.append([*accumulate(stores)][::-1])
+        self.victim_at = [
+            [bisect_left(victim_ops, op) for op in self.ops] for victim_ops in stack.victim_ops
+        ]
+        self.victim_blocks = stack.victim_blocks
+
+    def interval(self, j: int, ways: int):
+        """Interval ``j`` of a ``ways``-way rung at this set count.
+
+        Returns ``(accesses, writes, hits, write_misses, dirty_victims)``,
+        the victims as the block addresses the rung's L1 evicts dirty, in
+        order.
+        """
+        misses, write_misses = self.misses, self.write_misses
+        accesses = self.ops[j + 1] - self.ops[j]
+        at = self.victim_at[ways]
+        return (
+            accesses,
+            self.stores[j + 1] - self.stores[j],
+            accesses - (misses[j + 1][ways] - misses[j][ways]),
+            write_misses[j + 1][ways] - write_misses[j][ways],
+            self.victim_blocks[ways][at[j]:at[j + 1]],
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +553,7 @@ def build_pilot(decoded: DecodedTrace, side: str, geometry, replacement, name: s
     entry_prefix = array("I", zeros)
     miss_prefix = array("I", zeros)
     wb_prefix = array("I", zeros) if side == "d" else None
+    victims: Optional[List[int]] = [] if side == "d" else None
 
     misses = 0
     writebacks = 0
@@ -458,6 +591,7 @@ def build_pilot(decoded: DecodedTrace, side: str, geometry, replacement, name: s
                         misses += 1
                         if l1_packed & PACKED_WRITEBACK_VALID:
                             writebacks += 1
+                            victims.append(l1_packed >> PACKED_WRITEBACK_SHIFT)
                         append(OP_DMISS)
                         append(operand)
                         append(l1_packed)
@@ -465,7 +599,69 @@ def build_pilot(decoded: DecodedTrace, side: str, geometry, replacement, name: s
             miss_prefix[k + 1] = misses
             wb_prefix[k + 1] = writebacks
 
-    return PilotResolution(side, entries, entry_prefix, miss_prefix, wb_prefix)
+    return PilotResolution(side, entries, entry_prefix, miss_prefix, wb_prefix, victims)
+
+
+def build_stack(decoded: DecodedTrace, side: str, block_bytes: int, sets: int,
+                ways: int, widths: Optional[Sequence[int]] = None) -> StackResolution:
+    """One MRU-first LRU stack pass over a side's ops at one set count.
+
+    Each set's stack is at most ``ways`` deep.  Dirty victims come from one
+    integer ``c`` per resident block — it is dirty in rung ``w`` (where it
+    is resident, depth below ``w``) iff ``c < w``: a store sets it to 0, a
+    read found at depth ``d`` (a refill in every rung of at most ``d``
+    ways) raises it to ``d``, and a read miss fills it clean everywhere
+    (``ways``).  When an access at depth ``d`` pushes the entry at depth
+    ``i < d`` to ``i + 1``, that entry is exactly rung ``i + 1``'s LRU
+    victim, dirty iff ``c <= i``.  Victims are recorded for ``widths``
+    (ascending; every width up to ``ways`` by default).
+    """
+    _STATS["stack_passes"] += 1
+    offset_bits = block_bytes.bit_length() - 1
+    set_mask = sets - 1
+    accessed, stored = decoded.side_blocks(side, offset_bits)
+    deep_ops = array("I")
+    deep_codes = array("B" if ways < 127 else "I")
+    note_op, note_code = deep_ops.append, deep_codes.append
+    victim_ops = [array("I") for _ in range(ways + 1)]
+    victim_blocks = [array("Q") for _ in range(ways + 1)]
+    stacks: List[List[int]] = [[] for _ in range(sets)]
+    # Fetches never write, so an i-side pass has no dirty victim to record
+    # and serves every width.
+    widths = tuple(widths or range(1, ways + 1)) if side == "d" else ()
+    dirt: Dict[int, int] = {}
+    for index, block in enumerate(accessed):
+        stack = stacks[block & set_mask]
+        if stack and stack[0] == block:
+            if stored[index]:
+                dirt[block] = 0
+            continue
+        is_store = stored[index]
+        if block in stack:
+            depth = stack.index(block)
+            del stack[depth]
+            if is_store:
+                dirt[block] = 0
+            elif dirt[block] < depth:
+                dirt[block] = depth
+        else:
+            depth = ways
+            dirt[block] = 0 if is_store else ways
+        reach = depth if depth < len(stack) else len(stack)
+        for w in widths:
+            if w > reach:
+                break
+            entry = stack[w - 1]
+            if dirt[entry] < w:
+                victim_ops[w].append(index)
+                victim_blocks[w].append(entry << offset_bits)
+        if len(stack) == ways:
+            stack.pop()
+        stack.insert(0, block)
+        note_op(index)
+        note_code(depth << 1 | is_store)
+    return StackResolution(side, ways, widths or range(1, ways + 1), deep_ops, deep_codes,
+                           victim_ops, victim_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -492,110 +688,136 @@ def decoded_for(trace: Trace, block_mask: int, predictor) -> Optional[DecodedTra
     n = len(trace)
     if n == 0 or n >= MAX_ROWS or not _predictor_is_default(predictor):
         return None
-    per_trace = _DECODE_MEMO.get(trace)
-    if per_trace is not None:
-        decoded = per_trace.get(block_mask)
-        if decoded is not None:
-            _STATS["decode_memo_hits"] += 1
-            return decoded
+    per_trace = _per_trace(_DECODE_MEMO, trace)
+    decoded = per_trace.get(block_mask)
+    if decoded is not None:
+        _STATS["decode_memo_hits"] += 1
+        return decoded
     decoded = _load_from_disk(trace, block_mask)
     if decoded is None:
         decoded = build_decoded(trace, block_mask)
         if decoded is None:
             return None
         _store_to_disk(trace, block_mask, decoded)
+    per_trace[block_mask] = decoded
+    return decoded
+
+
+def _per_trace(memo, trace) -> dict:
+    """``trace``'s entry dict in a weak per-trace memo (created on first use).
+
+    Unweakrefable trace stand-ins (tests) get a throwaway dict.
+    """
+    per_trace = memo.get(trace)
     if per_trace is None:
         per_trace = {}
         try:
-            _DECODE_MEMO[trace] = per_trace
-        except TypeError:  # unweakrefable trace stand-ins (tests)
-            return decoded
-    per_trace[block_mask] = decoded
-    return decoded
+            memo[trace] = per_trace
+        except TypeError:
+            pass
+    return per_trace
 
 
 def pilot_for(trace: Trace, decoded: DecodedTrace, side: str, cache) -> Optional[PilotResolution]:
     """The memoized pilot pre-screen, or None when the pilot is unsupported.
 
     ``cache`` is the live pilot (rung 0's fixed L1).  It must be exactly a
-    fresh :class:`~repro.cache.cache.Cache` — the memoized resolution is
-    only valid from a cold pilot, and any subclass could change the access
-    semantics.  On a memo hit the live pilot is never driven at all, which
-    extends the documented fused-ladder caveat (idle invariant-side caches)
-    to rung 0.
+    :class:`~repro.cache.cache.Cache` holding no blocks — the memoized
+    resolution is only valid from a cold pilot (contents, not counters:
+    ``reset_stats`` keeps blocks), and any subclass could change the
+    access semantics.  On a memo hit the live pilot is never driven at
+    all, which extends the documented fused-ladder caveat (idle
+    invariant-side caches) to rung 0.
     """
-    if type(cache) is not Cache or cache.stats.accesses != 0:
+    if type(cache) is not Cache or cache.resident_blocks():
         return None
     if decoded.n > PILOT_MEMO_MAX_ROWS:
         return None
     key = (side, decoded.block_mask, cache.geometry, cache.replacement, cache.name)
-    per_trace = _PILOT_MEMO.get(trace)
-    if per_trace is not None:
-        pilot = per_trace.get(key)
-        if pilot is not None:
-            _STATS["pilot_memo_hits"] += 1
-            return pilot
-    pilot = build_pilot(decoded, side, cache.geometry, cache.replacement, cache.name)
-    if per_trace is None:
-        per_trace = {}
-        try:
-            _PILOT_MEMO[trace] = per_trace
-        except TypeError:
-            return pilot
-    per_trace[key] = pilot
+    per_trace = _per_trace(_PILOT_MEMO, trace)
+    pilot = per_trace.get(key)
+    if pilot is not None:
+        _STATS["pilot_memo_hits"] += 1
+        return pilot
+    pilot = per_trace[key] = build_pilot(
+        decoded, side, cache.geometry, cache.replacement, cache.name
+    )
     return pilot
 
 
-def resident_for(pilot: PilotResolution, l2_geometry, l1_block_bytes: int) -> Optional[List[int]]:
-    """The reduced stream with first-touch bits, or None when an L2 could evict.
+def stack_for(trace: Trace, decoded: DecodedTrace, side: str, block_bytes: int, sets: int,
+              widths: Sequence[int], widest: int, rungs: int) -> StackResolution:
+    """The memoized stack pass of ``side`` at ``sets`` sets, for rungs of ``widths`` ways.
+
+    The first pass at a set count resolves exactly ``widths`` (ascending).
+    A memoized pass serves any request it covers; any other re-resolves
+    and replaces it with a pass for every width up to ``widest`` (the
+    widest any L1 of the ladder's capacity can be at this set count), so
+    a trace whose ladders span associativities resolves each set count at
+    most twice.  ``rungs`` is the number of ladder rungs served (the
+    ``stack_rungs`` counter).  Callers hold a pilot resolution of the same
+    trace, so the :data:`PILOT_MEMO_MAX_ROWS` cap applies.
+    """
+    _STATS["stack_rungs"] += rungs
+    key = (side, decoded.block_mask, block_bytes, sets)
+    per_trace = _per_trace(_STACK_MEMO, trace)
+    stack = per_trace.get(key)
+    ways = widths[-1]
+    if stack is not None:
+        if stack.ways >= ways and stack.widths.issuperset(widths):
+            _STATS["stack_memo_hits"] += 1
+            return stack
+        ways, widths = max(ways, widest), None
+    stack = per_trace[key] = build_stack(decoded, side, block_bytes, sets, ways, widths)
+    return stack
+
+
+def resident_for(pilot: PilotResolution, l2_geometry,
+                 l1_block_bytes: int) -> Optional[Tuple[array, array]]:
+    """First-touch entry offsets, or None when an L2 could evict.
 
     The gate holds when no set of an L2 with ``l2_geometry`` receives more
     distinct L2 blocks over ``pilot.entries`` than it has ways, and L1
     blocks are no larger than L2 blocks.  Every block any rung's L2 sees is
     then the L2 block of some op in the stream (victims were filled by an
     earlier op), so no rung can ever evict from its L2, and an op's L2
-    read misses exactly when the op is the first to touch its L2 block —
-    the op whose code carries :data:`OP_FIRST_TOUCH` (its L1 access is a
-    compulsory miss in every rung).  Counted once per ladder consulting
-    the gate.
+    read misses exactly when the op is the first to touch its L2 block
+    (its L1 access is a compulsory miss in every rung).  Returns the
+    ascending ``pilot.entries`` offsets of those first touches by
+    instruction-side (fetch / i-miss) and data-side (load / store /
+    d-miss) ops; rows ``[start, stop)`` hold the ones in ``[entry_prefix[start],
+    entry_prefix[stop])``.  Counted once per ladder consulting the gate.
     """
-    annotated = None
+    first_touch = None
     if l1_block_bytes <= l2_geometry.block_bytes:
         if l2_geometry not in pilot.resident:
-            pilot.resident[l2_geometry] = _annotate_first_touch(pilot.entries, l2_geometry)
-        annotated = pilot.resident[l2_geometry]
-    _STATS["l2_resident_ladders" if annotated is not None else "l2_resident_refusals"] += 1
-    return annotated
+            pilot.resident[l2_geometry] = _first_touches(pilot.entries, l2_geometry)
+        first_touch = pilot.resident[l2_geometry]
+    _STATS["l2_resident_ladders" if first_touch is not None else "l2_resident_refusals"] += 1
+    return first_touch
 
 
-def _annotate_first_touch(entries: List[int], geometry) -> Optional[List[int]]:
+def _first_touches(entries: List[int], geometry) -> Optional[Tuple[array, array]]:
     offset_bits, _, set_mask = AddressMapper(geometry.block_bytes, geometry.num_sets).shift_mask()
     ways = geometry.associativity
     seen = set()
     per_set: Dict[int, int] = {}
-    annotated: List[int] = []
-    append = annotated.append
+    i_touches = array("I")
+    d_touches = array("I")
     position = 0
     end = len(entries)
     while position < end:
         code = entries[position]
-        operand = entries[position + 1]
-        block = operand >> offset_bits
-        if block in seen:
-            append(code)
-        else:
+        block = entries[position + 1] >> offset_bits
+        if block not in seen:
             seen.add(block)
             count = per_set.get(block & set_mask, 0) + 1
             if count > ways:
                 return None
             per_set[block & set_mask] = count
-            append(code | OP_FIRST_TOUCH)
-        append(operand)
-        position += 2
-        if code == OP_DMISS:
-            append(entries[position])
-            position += 1
-    return annotated
+            (i_touches if code == OP_FETCH or code == OP_IMISS else d_touches).append(position)
+        position += 3 if code == OP_DMISS else 2
+    return i_touches, d_touches
 
 
 def _load_from_disk(trace: Trace, block_mask: int) -> Optional[DecodedTrace]:

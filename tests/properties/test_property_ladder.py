@@ -9,6 +9,12 @@ byte-identical ``SimulationResult.to_dict()`` payloads against standalone
 mis-shared branch outcome, a pilot-side op wrongly dropped, an interval
 closed in the wrong order — fails with a shrunken minimal example.
 
+A second property replays several static ladders back to back on one
+trace — drawn organizations, L1 sides and L1 shapes, so the per-trace LRU
+stack memo is both hit and re-resolved narrower-then-wider — and compares
+every rung's result, variant-L1 stats, L2 stats, memory stats and
+write-back buffer with a standalone run.
+
 The L2 geometry is drawn too.  Under the default 512 KB 4-way L2 no drawn
 trace puts more distinct blocks in an L2 set than it has ways, so every
 ladder with a pilot side resolves its static rungs' L2 from first-touch
@@ -29,7 +35,8 @@ from repro.resizing.selective_sets import SelectiveSets
 from repro.resizing.selective_ways import SelectiveWays
 from repro.resizing.static_strategy import StaticResizing
 from repro.sim import predecode
-from repro.sim.ladder import run_fused
+from repro.sim.engine import get_engine
+from repro.sim.ladder import LadderEngine, run_fused
 from repro.sim.runner import TraceSpec
 from repro.sim.simulator import L1Setup, Simulator
 
@@ -155,3 +162,68 @@ def test_fused_ladder_agrees_with_standalone_runs(
         assert outcome == (1, 0)
     else:
         assert outcome == (0, 1)
+
+
+#: Variant-L1 shapes whose set counts overlap (8 KB 2-way and 32 KB 16-way
+#: share 64 and 32 sets at different depths), so a later ladder can need a
+#: deeper pass than an earlier one left in the memo.
+_L1_SHAPES = {
+    "8K-2way": CacheGeometry(8 * KIB, 2),
+    "16K-4way": CacheGeometry(16 * KIB, 4),
+    "32K-2way": CacheGeometry(32 * KIB, 2),
+    "32K-16way": CacheGeometry(32 * KIB, 16),
+}
+
+
+def _observable(ctx, variant):
+    hierarchy = ctx.hierarchy
+    buffer = hierarchy.writeback_buffer
+    return (
+        Simulator._finalize_run(ctx).to_dict(),
+        getattr(hierarchy, variant).stats.as_dict(),
+        hierarchy.l2.stats.as_dict(),
+        hierarchy.memory.stats.as_dict(),
+        (buffer.enqueued, buffer.overflows, buffer.drained, list(buffer._pending)),
+    )
+
+
+@given(
+    application=_APPLICATIONS,
+    length=st.integers(min_value=1_001, max_value=3_000),
+    interval=_INTERVALS,
+    warmup_fraction=st.sampled_from([0.0, 0.3]),
+    ladders=st.lists(
+        st.tuples(_ORGANIZATIONS, st.sampled_from(sorted(_L1_SHAPES)), st.sampled_from("di")),
+        min_size=2, max_size=4,
+    ),
+)
+@example(application="vortex", length=2_001, interval=250, warmup_fraction=0.3,
+         ladders=[(SelectiveSets, "8K-2way", "d"), (SelectiveWays, "32K-16way", "d"),
+                  (HybridSetsAndWays, "8K-2way", "d")])
+@settings(max_examples=15, deadline=None)
+def test_back_to_back_ladders_share_the_stack_memo(
+    application, length, interval, warmup_fraction, ladders,
+):
+    trace = TraceSpec(application, length).materialize()
+    warmup = int(length * warmup_fraction)
+    predecode.reset_stats()
+    rungs = 0
+    for factory, shape, side in ladders:
+        geometry = _L1_SHAPES[shape]
+        variant = "l1" + side
+        system = replace(_SYSTEM, **{variant: geometry})
+
+        def setups():
+            ladder = [L1Setup(factory(geometry), StaticResizing(config))
+                      for config in factory(geometry).ladder()]
+            return [(setup, None) if side == "d" else (None, setup) for setup in ladder]
+
+        simulator = Simulator(system)
+        fused = [simulator._prepare_run(trace, d, i, interval, warmup) for d, i in setups()]
+        LadderEngine().replay_many(trace, fused)
+        for ctx, (d_setup, i_setup) in zip(fused, setups()):
+            alone = simulator._prepare_run(trace, d_setup, i_setup, interval, warmup)
+            get_engine("columnar").replay(trace, alone)
+            assert _observable(ctx, variant) == _observable(alone, variant)
+        rungs += len(fused)
+    assert predecode.stats_snapshot()["stack_rungs"] == rungs

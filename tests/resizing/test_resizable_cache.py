@@ -206,3 +206,64 @@ class TestAccounting:
         dirty = cache.flush_all()
         assert dirty == [0x0]
         assert cache.resident_blocks() == 0
+
+
+def _hybrid_cache() -> ResizableCache:
+    geometry = CacheGeometry(8 * KIB, 4, subarray_bytes=KIB)
+    return ResizableCache(geometry, HybridSetsAndWays(geometry), name="l1d")
+
+
+class TestLazySetStorage:
+    """Set storage is built on first access; until then the cache is empty.
+
+    A stack-resolved fused-ladder rung never drives its variant L1, so its
+    set dicts must never be allocated — and every method must treat the
+    unbuilt storage exactly as an empty cache.
+    """
+
+    def test_fresh_cache_allocates_nothing(self):
+        cache = _sets_cache()
+        assert cache._set_blocks is None
+        assert cache.resident_blocks() == 0
+        assert not cache.probe(0x1000)
+        assert cache.flush_all() == []
+        assert cache.stats.invalidations == 0
+        assert cache._set_blocks is None
+
+    @pytest.mark.parametrize("factory", [_sets_cache, _ways_cache, _hybrid_cache])
+    def test_resizes_on_unbuilt_storage_match_an_empty_cache(self, factory):
+        lazy, built = factory(), factory()
+        built._sets()
+        # Down the whole ladder, then straight back up to full size.
+        targets = lazy.organization.ladder()[1:] + [lazy.organization.full_config]
+        for target in targets:
+            got, expected = lazy.resize_to(target), built.resize_to(target)
+            assert (got.writeback_addresses, got.discarded_blocks) == ([], 0)
+            assert (expected.writeback_addresses, expected.discarded_blocks) == ([], 0)
+            assert lazy.current_config == built.current_config == target
+        assert lazy._set_blocks is None
+        assert lazy.stats.as_dict() == built.stats.as_dict()
+        assert (lazy.resize_count, lazy.flush_writebacks, lazy.flushed_blocks) == (
+            built.resize_count, built.flush_writebacks, built.flushed_blocks,
+        )
+
+    @pytest.mark.parametrize("factory", [_sets_cache, _ways_cache, _hybrid_cache])
+    def test_first_access_after_a_resize_builds_storage(self, factory):
+        lazy, built = factory(), factory()
+        built._sets()
+        target = lazy.organization.ladder()[-1]
+        lazy.resize_to(target)
+        built.resize_to(target)
+        for step in range(200):
+            address, is_write = (step * 7919) % 16_384, step % 3 == 0
+            assert lazy.access_packed(address, is_write) == built.access_packed(address, is_write)
+        assert lazy._set_blocks is not None
+        assert lazy.resident_blocks() == built.resident_blocks() > 0
+        assert lazy.stats.as_dict() == built.stats.as_dict()
+
+    def test_kernel_state_builds_storage(self):
+        cache = _ways_cache()
+        state = cache._kernel_state()
+        assert state[1] is cache._set_blocks
+        assert len(state[1]) == cache.geometry.num_sets
+        assert cache.resident_blocks() == 0

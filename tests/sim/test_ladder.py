@@ -25,7 +25,11 @@ from dataclasses import replace
 import pytest
 
 from repro.__main__ import transport_stats_line
-from repro.common.config import SystemConfig
+from repro.cache.cache import Cache
+from repro.cache.hierarchy import CacheHierarchy
+from repro.cache.replacement import ReplacementPolicy
+from repro.common.config import CacheGeometry, SystemConfig
+from repro.common.units import KIB
 from repro.common.errors import SimulationError
 from repro.resizing.dynamic_strategy import DynamicResizing
 from repro.resizing.hybrid import HybridSetsAndWays
@@ -228,12 +232,17 @@ def _synthetic_trace(name, addresses, stores):
     return Trace.from_records(name, records)
 
 
-def _observable(ctx):
-    """Everything a rung's run leaves behind that a replay path could skew."""
+def _observable(ctx, variant):
+    """Everything a rung's run leaves behind that a replay path could skew.
+
+    ``variant`` names the L1 the ladder resizes ("l1d" or "l1i"); the other
+    L1 is the pilot, idle in fused rungs by design.
+    """
     hierarchy = ctx.hierarchy
     buffer = hierarchy.writeback_buffer
     return {
         "result": Simulator._finalize_run(ctx).to_dict(),
+        "l1": getattr(hierarchy, variant).stats.as_dict(),
         "l2": hierarchy.l2.stats.as_dict(),
         "memory": hierarchy.memory.stats.as_dict(),
         "writeback_buffer": (
@@ -242,7 +251,8 @@ def _observable(ctx):
     }
 
 
-def _fused_vs_standalone(system, trace, setups, interval=500, prepare=lambda ctx: None):
+def _fused_vs_standalone(system, trace, setups, interval=500, prepare=lambda ctx: None,
+                         variant="l1d", warmup=300):
     """Replay ``setups()`` fused and one by one on the columnar engine.
 
     ``prepare`` runs on every fresh context before its replay.  Returns
@@ -250,29 +260,44 @@ def _fused_vs_standalone(system, trace, setups, interval=500, prepare=lambda ctx
     rung for rung.
     """
     simulator = Simulator(system)
-    fused = [simulator._prepare_run(trace, d, i, interval, 300) for d, i in setups()]
+    fused = [simulator._prepare_run(trace, d, i, interval, warmup) for d, i in setups()]
     for ctx in fused:
         prepare(ctx)
     LadderEngine().replay_many(trace, fused)
     standalone = []
     for d, i in setups():
-        ctx = simulator._prepare_run(trace, d, i, interval, 300)
+        ctx = simulator._prepare_run(trace, d, i, interval, warmup)
         prepare(ctx)
         get_engine("columnar").replay(trace, ctx)
-        standalone.append(_observable(ctx))
-    return fused, [_observable(ctx) for ctx in fused], standalone
+        standalone.append(_observable(ctx, variant))
+    return fused, [_observable(ctx, variant) for ctx in fused], standalone
+
+
+def _variant(target):
+    return "l1d" if target == DCACHE else "l1i"
 
 
 def _l2_built(ctx) -> bool:
     return ctx.hierarchy.l2._set_blocks is not None
 
 
-class TestL2ResidentMode:
-    """Fused rungs whose L2 can never evict resolve it from first-touch bits.
+def _built(ctx, cache) -> bool:
+    return getattr(ctx.hierarchy, cache)._set_blocks is not None
 
-    Each case compares every rung's result, L2 stats, memory stats and
-    write-back buffer with a standalone run, and checks which path ran: a
-    resident rung never builds its L2's set storage.
+
+def _gate_outcome():
+    stats = predecode.stats_snapshot()
+    return stats["l2_resident_ladders"], stats["l2_resident_refusals"], stats["stack_rungs"]
+
+
+class TestL2ResidentMode:
+    """Static rungs over an L2 that can never evict resolve from the stack pass.
+
+    Such a rung's variant L1 comes from the shared LRU stack pass and its
+    L2 from first-touch counts.  Each case compares every rung's result,
+    variant-L1 stats, L2 stats, memory stats and write-back buffer with a
+    standalone run, and checks which path ran: a stack-resolved rung never
+    builds its L2's or its variant L1's set storage.
     """
 
     @pytest.mark.parametrize("target", [DCACHE, ICACHE])
@@ -283,11 +308,11 @@ class TestL2ResidentMode:
         trace = _synthetic_trace("l2-set-overflow", [k * stride for k in range(ways + 1)], True)
         predecode.reset_stats()
         fused, observed, standalone = _fused_vs_standalone(
-            system, trace, lambda: _ladder_setups(system, SelectiveWays, target)
+            system, trace, lambda: _ladder_setups(system, SelectiveWays, target),
+            variant=_variant(target),
         )
         assert observed == standalone
-        assert predecode.stats_snapshot()["l2_resident_refusals"] == 1
-        assert predecode.stats_snapshot()["l2_resident_ladders"] == 0
+        assert _gate_outcome() == (0, 1, 0)
         assert all(_l2_built(ctx) for ctx in fused)
         # The L2 really evicted: more read misses than distinct blocks.
         assert standalone[0]["l2"]["misses"] > ways + 1
@@ -300,12 +325,14 @@ class TestL2ResidentMode:
         # misses keep evicting dirty victims, all in distinct L2 sets.
         trace = _synthetic_trace("dirty-victims", [k * l1_stride for k in range(4)], True)
         predecode.reset_stats()
+        rungs = len(_ladder_setups(tight, SelectiveWays, target))
         fused, observed, standalone = _fused_vs_standalone(
-            tight, trace, lambda: _ladder_setups(tight, SelectiveWays, target)
+            tight, trace, lambda: _ladder_setups(tight, SelectiveWays, target),
+            variant=_variant(target),
         )
         assert observed == standalone
-        assert predecode.stats_snapshot()["l2_resident_ladders"] == 1
-        assert not any(_l2_built(ctx) for ctx in fused)
+        assert _gate_outcome() == (1, 0, rungs)
+        assert not any(_l2_built(ctx) or _built(ctx, _variant(target)) for ctx in fused)
         for payload in standalone:
             enqueued, overflows, drained, pending = payload["writeback_buffer"]
             assert enqueued > 100 and overflows == enqueued - 1 == drained
@@ -316,7 +343,7 @@ class TestL2ResidentMode:
     def test_prewarmed_l1_keeps_the_dict_path(self, system):
         # A block already in the L1d never reaches the L2 on its first
         # touch, so once the L1d evicts it the next read misses in the L2
-        # though the stream's first-touch bit says it should hit.
+        # though the stream's first-touch count says it should hit.
         l1_stride = system.l1d.num_sets * system.l1d.block_bytes
         trace = _synthetic_trace("prewarmed", [k * l1_stride for k in range(4)], False)
         predecode.reset_stats()
@@ -325,9 +352,118 @@ class TestL2ResidentMode:
             prepare=lambda ctx: ctx.hierarchy.l1d.access(0),
         )
         assert observed == standalone
-        stats = predecode.stats_snapshot()
-        assert (stats["l2_resident_ladders"], stats["l2_resident_refusals"]) == (0, 0)
+        assert _gate_outcome() == (0, 0, 0)
         assert all(_l2_built(ctx) for ctx in fused)
+
+    def test_reset_stats_does_not_make_a_prewarmed_l1_cold(self, system):
+        # reset_stats zeroes the counters and keeps the warm block, so a
+        # gate reading counters would take the stack path and diverge.
+        l1_stride = system.l1d.num_sets * system.l1d.block_bytes
+        trace = _synthetic_trace("prewarmed-reset", [k * l1_stride for k in range(4)], False)
+
+        def prepare(ctx):
+            ctx.hierarchy.l1d.access(0)
+            ctx.hierarchy.reset_stats()
+
+        predecode.reset_stats()
+        fused, observed, standalone = _fused_vs_standalone(
+            system, trace, lambda: _ladder_setups(system, SelectiveWays, DCACHE),
+            prepare=prepare,
+        )
+        assert observed == standalone
+        assert _gate_outcome() == (0, 0, 0)
+        assert all(_l2_built(ctx) for ctx in fused)
+
+    def test_reset_stats_does_not_make_a_prewarmed_pilot_cold(self, system):
+        # The trace's first fetch block already sits in every rung's L1i:
+        # the cold-pilot memo would count its first fetch as a miss.
+        trace = _synthetic_trace("prewarmed-pilot", [0x40_000, 0x80_000], True)
+
+        def prepare(ctx):
+            ctx.hierarchy.l1i.access(0x1000)
+            ctx.hierarchy.reset_stats()
+
+        predecode.reset_stats()
+        fused, observed, standalone = _fused_vs_standalone(
+            system, trace, lambda: _ladder_setups(system, SelectiveWays, DCACHE),
+            prepare=prepare,
+        )
+        assert observed == standalone
+        stats = predecode.stats_snapshot()
+        assert (stats["pilot_builds"], stats["pilot_memo_hits"]) == (0, 0)
+        assert _gate_outcome() == (0, 0, 0)
+
+    def test_fifo_variant_l1_takes_the_dict_path(self, system, trace):
+        def prepare(ctx):
+            ctx.hierarchy = CacheHierarchy(
+                system, l1i=ctx.hierarchy.l1i,
+                l1d=Cache(system.l1d, ReplacementPolicy.FIFO, name="l1d"),
+            )
+
+        predecode.reset_stats()
+        fused, observed, standalone = _fused_vs_standalone(
+            system, trace, lambda: [(None, None), (None, None)], prepare=prepare,
+        )
+        assert observed == standalone
+        assert _gate_outcome() == (0, 0, 0)
+        assert all(_l2_built(ctx) and _built(ctx, "l1d") for ctx in fused)
+
+    def test_object_api_variant_l1_takes_the_general_path(self, system, trace):
+        class ObjectOnlyL1:
+            """An L1 offering only the object API (no packed kernel state)."""
+
+            def __init__(self, inner):
+                self._inner = inner
+                self.stats = inner.stats
+
+            def access(self, address, is_write=False):
+                return self._inner.access(address, is_write)
+
+        def prepare(ctx):
+            ctx.hierarchy = CacheHierarchy(
+                system, l1i=ctx.hierarchy.l1i,
+                l1d=ObjectOnlyL1(Cache(system.l1d, name="l1d")),
+            )
+
+        predecode.reset_stats()
+        fused, observed, standalone = _fused_vs_standalone(
+            system, trace, lambda: [(None, None), (None, None)], prepare=prepare,
+        )
+        assert observed == standalone
+        # No pilot: every rung drives its own L1i and L2.
+        assert predecode.stats_snapshot()["pilot_builds"] == 0
+        assert all(_l2_built(ctx) and _built(ctx, "l1i") for ctx in fused)
+
+    @pytest.mark.parametrize("target", [DCACHE, ICACHE])
+    def test_warmup_with_a_partial_final_interval(self, system, trace, target):
+        assert len(trace) % 700 != 0
+        rungs = len(_ladder_setups(system, HybridSetsAndWays, target))
+        predecode.reset_stats()
+        fused, observed, standalone = _fused_vs_standalone(
+            system, trace, lambda: _ladder_setups(system, HybridSetsAndWays, target),
+            interval=700, warmup=1_900, variant=_variant(target),
+        )
+        assert observed == standalone
+        assert _gate_outcome() == (1, 0, rungs)
+        assert not any(_built(ctx, _variant(target)) for ctx in fused)
+
+    def test_wider_ladder_re_resolves_the_shared_stack(self, system):
+        # A 2-way L1d ladder resolves 64 and 32 sets 2 deep; a 32 KB 16-way
+        # ladder on the same trace needs them 16 deep, re-resolves them as
+        # deep as 32 KB allows (16 and 32 ways), and the narrow ladder then
+        # runs again off the wide passes.
+        trace = TraceSpec("vortex", 4_000).materialize()
+        narrow = replace(system, l1d=CacheGeometry(8 * KIB, 2))
+        wide = replace(system, l1d=CacheGeometry(32 * KIB, 16))
+        predecode.reset_stats()
+        for ladder_system, passes, hits in ((narrow, 3, 0), (wide, 5, 0), (narrow, 5, 3)):
+            fused, observed, standalone = _fused_vs_standalone(
+                ladder_system, trace,
+                lambda: _ladder_setups(ladder_system, SelectiveSets, DCACHE),
+            )
+            assert observed == standalone
+            stats = predecode.stats_snapshot()
+            assert (stats["stack_passes"], stats["stack_memo_hits"]) == (passes, hits)
 
     def test_dynamic_rung_keeps_the_dict_path(self, system, trace):
         geometry = system.l1d
@@ -347,7 +483,7 @@ class TestL2ResidentMode:
         predecode.reset_stats()
         fused, observed, standalone = _fused_vs_standalone(system, trace, setups)
         assert observed == standalone
-        assert predecode.stats_snapshot()["l2_resident_ladders"] == 1
+        assert _gate_outcome() == (1, 0, 2)
         assert [_l2_built(ctx) for ctx in fused] == [False, False, True]
         # The dynamic rung resizes mid-run and flushes dirty blocks into L2.
         assert standalone[2]["result"]["l1d_flush_writebacks"] > 0
@@ -434,9 +570,10 @@ class TestSubmitLadder:
             assert runner.inline_executions == 0
             # The worker's gate outcome reaches the parent's --stats line.
             assert runner.worker_stats["l2_resident_ladders"] == 1
-            assert "1 L2-resident ladder(s), 0 L2-resident refusal(s)" in (
-                transport_stats_line(runner)
-            )
+            assert runner.worker_stats["stack_rungs"] == len(ladder_jobs)
+            line = transport_stats_line(runner)
+            assert "1 L2-resident ladder(s), 0 L2-resident refusal(s)" in line
+            assert f"{len(ladder_jobs)} stack rung(s)" in line
         assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
 
     def test_fused_results_fan_out_to_per_rung_fingerprints(self, tmp_path, ladder_jobs):
