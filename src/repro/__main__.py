@@ -730,7 +730,9 @@ def transport_stats_line(runner: SweepRunner) -> str:
     rungs they serve, shared-memory attaches, trace-memo reads — come from
     :attr:`~repro.sim.runner.SweepRunner.worker_stats`, which aggregates
     the per-job deltas reported by whichever process executed each job
-    (the workers under ``--jobs N``, this process for inline execution).
+    (the workers under ``--jobs N``, this process for inline execution),
+    and the deltas of the runner's own fingerprint calls (leaf memo hits
+    and misses, see :func:`~repro.sim.runner.job_fingerprint`).
     """
     worker = runner.worker_stats
     return (
@@ -750,7 +752,9 @@ def transport_stats_line(runner: SweepRunner) -> str:
         f"{worker.get('l2_resident_refusals', 0)} L2-resident refusal(s), "
         f"{worker.get('stack_passes', 0)} stack pass(es), "
         f"{worker.get('stack_memo_hits', 0)} stack memo hit(s), "
-        f"{worker.get('stack_rungs', 0)} stack rung(s)"
+        f"{worker.get('stack_rungs', 0)} stack rung(s); fingerprints: "
+        f"{worker.get('fingerprint_leaf_hits', 0)} leaf memo hit(s), "
+        f"{worker.get('fingerprint_leaf_misses', 0)} leaf memo miss(es)"
     )
 
 

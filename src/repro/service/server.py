@@ -55,7 +55,7 @@ from repro.service.bridge import RunnerBridge, threadsafe_progress
 from repro.service.handles import FAILED, QUEUED, Handle, HandleStore
 from repro.service.queue import DEFAULT_TENANT, CircuitBreaker, FairQueue
 from repro.sim.jobcache import JobCache
-from repro.sim.runner import RetryPolicy, SweepRunner
+from repro.sim.runner import RetryPolicy, SweepRunner, fingerprint_stats
 
 #: Longest ``?wait=`` long-poll the server honours, seconds.
 MAX_WAIT_SECONDS = 30.0
@@ -394,6 +394,8 @@ class SweepService:
             "timeouts": runner.timeouts,
             "worker_deaths": runner.worker_deaths,
             "quarantined": len(runner.quarantined),
+            # Process totals: admission fingerprints every request too.
+            **fingerprint_stats(),
         })
         lines.append(runner_counters.render(prefix="runner_"))
         gauges = CounterRegistry({

@@ -67,7 +67,14 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Type, Union
 
 from repro.common.atomicio import atomic_write_json
-from repro.common.config import CacheGeometry, SystemConfig
+from repro.common.config import (
+    CacheGeometry,
+    CacheTiming,
+    CoreConfig,
+    L2Config,
+    MemoryConfig,
+    SystemConfig,
+)
 from repro.common.counters import CounterRegistry
 from repro.common.errors import (
     JobTimeoutError,
@@ -548,49 +555,112 @@ def _trace_digest(trace: Trace) -> str:
     return cached
 
 
-def _canonical(value):
-    """Reduce a spec component to JSON-serialisable canonical form."""
+#: Canonical JSON text of a value that is embedded as it is (enum values,
+#: external-trace payloads, scalars of unusual types): exactly the bytes
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))`` yields.
+_json_text = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+#: Canonical JSON text of a string (``json.dumps`` escaping, ASCII only).
+_json_string = json.encoder.encode_basestring_ascii
+
+#: The frozen spec leaves whose fragments are memoised per object (exact
+#: types: a subclass is serialised afresh every time).
+_LEAF_TYPES = frozenset({
+    SystemConfig, CoreConfig, CacheGeometry, CacheTiming, L2Config, MemoryConfig,
+    TechnologyParameters, CoreTimingParameters, TraceSpec, SizeConfig,
+})
+
+
+def _forget_fragment(ref: weakref.KeyedRef) -> None:
+    # Runs when the leaf dies, before its id can be reused.
+    entry = _FRAGMENTS.get(ref.key)
+    if entry is not None and entry[0] is ref:
+        _FRAGMENTS.pop(ref.key, None)
+
+
+#: Canonical fragments of live spec leaves: ``id(leaf)`` -> (weak reference
+#: to the leaf, its canonical JSON text).  An entry dies with its leaf.
+_FRAGMENTS: Dict[int, Tuple[weakref.KeyedRef, str]] = {}
+
+#: Per (class, marker key) serialisation plans: a ``%``-template of the
+#: canonical object with its keys in sorted order, the fields it reads in
+#: that order, and the marker's position among them.
+_PLANS: Dict[Tuple[type, str], Tuple[str, Tuple[str, ...], int]] = {}
+
+
+def _plan(cls: type, marker: str) -> Tuple[str, Tuple[str, ...], int]:
+    plan = _PLANS.get((cls, marker))
+    if plan is None:
+        # `engine` is excluded by design: engines are bit-identical, so the
+        # cache serves results across engine choices (see SimJob).
+        skip = "engine" if issubclass(cls, SimJob) else None
+        order = sorted([marker] + [f.name for f in fields(cls) if f.name != skip])
+        template = "{" + ",".join(_json_string(key) + ":%s" for key in order) + "}"
+        names = tuple(key for key in order if key != marker)
+        plan = _PLANS[(cls, marker)] = (template, names, order.index(marker))
+    return plan
+
+
+def _object_fragment(value, marker: str, marker_text: str, counts: List[int]) -> str:
+    template, names, position = _plan(type(value), marker)
+    parts = [_fragment(getattr(value, name), counts) for name in names]
+    parts.insert(position, marker_text)
+    return template % tuple(parts)
+
+
+def _fragment(value, counts: List[int]) -> str:
+    """Canonical JSON text of one job component (see :func:`job_fingerprint`).
+
+    ``counts`` accumulates [leaf memo hits, leaf memo misses].
+    """
+    kind = type(value)
+    if kind in _LEAF_TYPES:
+        key = id(value)
+        entry = _FRAGMENTS.get(key)
+        if entry is not None and entry[0]() is value:
+            counts[0] += 1
+            return entry[1]
+        counts[1] += 1
+        text = _object_fragment(value, "__type__", _json_string(kind.__name__), counts)
+        _FRAGMENTS[key] = (weakref.KeyedRef(value, _forget_fragment, key), text)
+        return text
+    if kind is str:
+        return _json_string(value)
+    if kind is int:
+        return repr(value)
+    if value is None:
+        return "null"
+    if kind is float:
+        # repr round-trips floats exactly, so distinct values never collide.
+        return _json_string(repr(value))
     if isinstance(value, Enum):
-        return value.value
+        return _json_text(value.value)
     if isinstance(value, Trace):
-        return {"__trace__": _trace_digest(value)}
+        return '{"__trace__":' + _json_string(_trace_digest(value)) + "}"
     if isinstance(value, ExternalTraceSpec):
         # Content-addressed, path deliberately excluded: the same trace file
         # moved (or re-downloaded) elsewhere still hits the cache; editing
         # its bytes — or the ingest semantics — always misses.
-        return {"__external_trace__": value.fingerprint_payload()}
+        return '{"__external_trace__":' + _json_text(value.fingerprint_payload()) + "}"
     if isinstance(value, L1SetupSpec) and value.organization is not None:
         # Bind the name to the class it currently resolves to, so replacing
         # the registered class behind a name changes the fingerprint instead
         # of serving results simulated by the old class.
         cls = organization_class(value.organization)
-        canonical = {"__organization_class__": f"{cls.__module__}.{cls.__qualname__}"}
-        for spec_field in fields(value):
-            canonical[spec_field.name] = _canonical(getattr(value, spec_field.name))
-        return canonical
+        binding = _json_string(f"{cls.__module__}.{cls.__qualname__}")
+        return _object_fragment(value, "__organization_class__", binding, counts)
     if isinstance(value, SimJob):
-        canonical = {"__type__": "SimJob"}
-        for spec_field in fields(value):
-            # `engine` is excluded by design: engines are bit-identical, so
-            # the cache serves results across engine choices (see SimJob).
-            if spec_field.name == "engine":
-                continue
-            canonical[spec_field.name] = _canonical(getattr(value, spec_field.name))
-        return canonical
+        return _object_fragment(value, "__type__", '"SimJob"', counts)
     if is_dataclass(value) and not isinstance(value, type):
-        canonical = {"__type__": type(value).__name__}
-        for spec_field in fields(value):
-            canonical[spec_field.name] = _canonical(getattr(value, spec_field.name))
-        return canonical
+        return _object_fragment(value, "__type__", _json_string(kind.__name__), counts)
     if isinstance(value, (list, tuple)):
-        return [_canonical(item) for item in value]
+        return "[" + ",".join([_fragment(item, counts) for item in value]) + "]"
     if isinstance(value, dict):
-        return {str(key): _canonical(item) for key, item in value.items()}
+        items = {str(key): _fragment(item, counts) for key, item in value.items()}
+        return "{" + ",".join([_json_string(key) + ":" + items[key] for key in sorted(items)]) + "}"
     if isinstance(value, float):
-        # repr round-trips floats exactly, so distinct values never collide.
-        return repr(value)
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
+        return _json_string(repr(value))
+    if isinstance(value, (bool, int, str)):
+        return _json_text(value)
     raise SimulationError(f"cannot fingerprint job component of type {type(value).__name__}")
 
 
@@ -634,19 +704,46 @@ def job_fingerprint(job: SimJob) -> str:
     The package version *and* a digest of the package's source files are
     mixed in, so any change to simulation logic fails safe: a stale cache
     misses instead of reproducing the old numbers.
+
+    The hashed payload is canonical JSON: every dataclass becomes an object
+    with sorted keys and a ``__type__`` marker (``__organization_class__``
+    for a setup naming an organization), floats become their ``repr``
+    strings, and the text is what ``json.dumps(..., sort_keys=True,
+    separators=(",", ":"))`` would emit.  It is written directly, and the
+    fragment of each frozen spec leaf (``SystemConfig`` and its parts,
+    ``TechnologyParameters``, ``CoreTimingParameters``, ``TraceSpec``,
+    ``SizeConfig``) is computed once per *object* and spliced into every
+    later payload that holds the same object — a profiling ladder shares
+    one system, technology and timing across all its rungs.  The memo's
+    soundness rules:
+
+    * it is keyed by object identity, never by value equality: ``1 == 1.0
+      == True`` and ``0.0 == -0.0``, yet each has its own canonical form;
+    * entries are held through weak references, so an entry dies with its
+      object and a long-lived process does not accumulate them;
+    * only frozen leaves are memoised: never a mutable :class:`SimJob`,
+      never an :class:`~repro.workloads.ingest.ExternalTraceSpec` (its
+      content digest is re-checked on every call, because the file can
+      change), and never an :class:`L1SetupSpec`, whose fragment depends on
+      the organization class its name resolves to *now* — the fresh
+      setup and strategy wrappers each rung builds are serialised afresh by
+      joining their leaves' memoised fragments;
+    * inline :class:`Trace` objects keep their own weak content-digest memo.
+
+    Each call adds its leaf lookups to the ``fingerprint_leaf_hits`` and
+    ``fingerprint_leaf_misses`` counters (once per fingerprint).
     """
     from repro import __version__  # deferred: repro.__init__ imports this module
 
-    payload = json.dumps(
-        {
-            "version": _FINGERPRINT_VERSION,
-            "repro_version": __version__,
-            "source": _source_digest(),
-            "job": _canonical(job),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
+    counts = [0, 0]
+    payload = (
+        '{"job":' + _fragment(job, counts)
+        + ',"repro_version":' + _json_string(__version__)
+        + ',"source":' + _json_string(_source_digest())
+        + ',"version":' + repr(_FINGERPRINT_VERSION) + "}"
     )
+    _STATS["fingerprint_leaf_hits"] += counts[0]
+    _STATS["fingerprint_leaf_misses"] += counts[1]
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -671,7 +768,21 @@ _TRACE_MEMO_MAX = 16
 #: so a sweep whose workers run entirely over shared-memory refs reports
 #: zero worker-side reads.  Snapshots are taken around each job execution
 #: and the deltas shipped back to the parent (see :func:`_execute_indexed`).
-_STATS = CounterRegistry({"trace_memo_reads": 0})
+#: ``fingerprint_leaf_hits``/``fingerprint_leaf_misses`` count spec-leaf
+#: lookups in the fingerprint memo (see :func:`job_fingerprint`); the
+#: process that submits jobs fingerprints them, so a :class:`SweepRunner`
+#: merges the deltas of its own fingerprint calls into ``worker_stats``.
+_STATS = CounterRegistry(
+    {"trace_memo_reads": 0, "fingerprint_leaf_hits": 0, "fingerprint_leaf_misses": 0}
+)
+
+
+def fingerprint_stats() -> Dict[str, int]:
+    """This process's fingerprint leaf-memo counters, since start-up."""
+    return {
+        "fingerprint_leaf_hits": _STATS["fingerprint_leaf_hits"],
+        "fingerprint_leaf_misses": _STATS["fingerprint_leaf_misses"],
+    }
 
 
 def _stats_snapshot() -> Dict[str, int]:
@@ -991,8 +1102,10 @@ class SweepRunner:
             them; zero when every dispatched trace rode a segment.
         worker_stats: aggregated per-job counter deltas from the executing
             processes (shm attaches, trace memo reads, decode memo hits —
-            see ``_stats_snapshot``), for `--stats` reporting and the
-            transport's zero-copy acceptance tests.
+            see ``_stats_snapshot``), plus the fingerprint leaf-memo hits
+            and misses of this runner's own fingerprint calls, for
+            `--stats` reporting and the transport's zero-copy acceptance
+            tests.
         retries: transient-failure re-dispatches performed (every retry of
             every job, summed).
         timeouts: jobs whose attempt exceeded the per-job wall-clock budget
@@ -1347,10 +1460,17 @@ class SweepRunner:
     def _try_fingerprint(self, job: SimJob) -> Optional[str]:
         """Fingerprint ``job``, or None for jobs the spec layer cannot hash
         (those skip dedup and caching but still execute)."""
+        hits = _STATS["fingerprint_leaf_hits"]
+        misses = _STATS["fingerprint_leaf_misses"]
         try:
-            return job.fingerprint()
+            fingerprint = job.fingerprint()
         except SimulationError:
             return None
+        self.worker_stats.merge({
+            "fingerprint_leaf_hits": _STATS["fingerprint_leaf_hits"] - hits,
+            "fingerprint_leaf_misses": _STATS["fingerprint_leaf_misses"] - misses,
+        })
+        return fingerprint
 
     def _enqueue(self, job: SimJob, fingerprint: Optional[str], future: SimFuture) -> None:
         """Register a fresh future for ``job``: resolve from the on-disk

@@ -530,32 +530,38 @@ def _default_name(path: Optional[str]) -> str:
 # Content digests and the job-layer spec
 # ---------------------------------------------------------------------------
 
-#: Per-process digest memo keyed by (realpath, size, mtime_ns): fingerprints
-#: of an unchanged file cost one stat instead of a full hash pass.  Entries
+#: Per-process digest memo keyed by the path as given and validated by the
+#: file's (device, inode, size, mtime_ns): fingerprints of an unchanged file
+#: cost one stat instead of a full hash pass.  The stat follows symlinks, so
+#: an edit, a file replaced by rename or a retargeted link misses.  Entries
 #: are only ever replaced by newer stats, never shared across processes.
-_FILE_DIGEST_MEMO: Dict[str, Tuple[Tuple[int, int], str]] = {}
+_FILE_DIGEST_MEMO: Dict[Union[str, bytes], Tuple[Tuple[int, int, int, int], str]] = {}
+
+
+def _file_signature(stat: os.stat_result) -> Tuple[int, int, int, int]:
+    return (stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns)
 
 
 def file_digest(path: Union[str, "os.PathLike"]) -> str:
-    """Streaming SHA-256 of a file's content, memoised on (size, mtime).
+    """Streaming SHA-256 of a file's content, memoised on the file's stat.
 
     This is the identity external-trace fingerprints and trace-cache keys
     are built from: the same bytes digest identically wherever the file
     lives, so moving or re-downloading a trace never invalidates caches,
     while any edit always does.
     """
-    real = os.path.realpath(os.fspath(path))
-    stat = os.stat(real)
-    signature = (stat.st_size, stat.st_mtime_ns)
-    memo = _FILE_DIGEST_MEMO.get(real)
-    if memo is not None and memo[0] == signature:
+    key = os.fspath(path)
+    memo = _FILE_DIGEST_MEMO.get(key)
+    if memo is not None and memo[0] == _file_signature(os.stat(key)):
         return memo[1]
     digest = hashlib.sha256()
-    with open(real, "rb") as handle:
+    with open(key, "rb") as handle:
+        # The signature of the file actually read, not of an earlier stat.
+        signature = _file_signature(os.fstat(handle.fileno()))
         for chunk in iter(lambda: handle.read(1 << 20), b""):
             digest.update(chunk)
     hexdigest = digest.hexdigest()
-    _FILE_DIGEST_MEMO[real] = (signature, hexdigest)
+    _FILE_DIGEST_MEMO[key] = (signature, hexdigest)
     return hexdigest
 
 

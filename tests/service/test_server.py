@@ -72,6 +72,10 @@ class TestExecutionAndDedup:
         assert metrics["service_accepted"] == 1
         assert metrics["service_completed"] == 1
         assert metrics["runner_simulated"] >= 1
+        # Admission fingerprints the fresh job (leaf misses), then its
+        # handle and cache lookup reuse the leaves' fragments (hits).
+        assert metrics["runner_fingerprint_leaf_misses"] >= 1
+        assert metrics["runner_fingerprint_leaf_hits"] >= 1
 
     def test_duplicates_share_one_execution_and_bytes(self, service_factory):
         harness = service_factory()
